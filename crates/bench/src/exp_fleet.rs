@@ -238,8 +238,8 @@ pub const LARGE_UPLOAD_EVERY: usize = 2048;
 
 /// Runs the large-scale fleet benchmark (`repro fleet --scale large`) and
 /// writes `BENCH_fleet_large.json`: `devices` devices deployed via the
-/// sharded installer, one 8-window session per device-count of users
-/// served through [`Fleet::serve_sessions`], bounded event logs
+/// band-sharded [`Fleet::deploy`], one 8-window session per device-count
+/// of users served through [`Fleet::serve_sessions`], bounded event logs
 /// ([`LARGE_EVENT_CAPACITY`] retained events per device), and windowed
 /// **delta** telemetry uploads every [`LARGE_UPLOAD_EVERY`] sessions
 /// summed into one cloud rollup.
@@ -288,7 +288,7 @@ pub fn run_large(
         event_capacity: LARGE_EVENT_CAPACITY,
         ..FleetConfig::default()
     };
-    let mut fleet = Fleet::deploy_sharded(slots, &deployment, config).expect("fleet deploy");
+    let mut fleet = Fleet::deploy(slots, &deployment, config).expect("fleet deploy");
 
     // --- the schedule: one session per user, users = devices -----------
     let eval = &base.scenario.test;

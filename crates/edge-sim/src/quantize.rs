@@ -296,7 +296,11 @@ impl QuantizedMatrix {
             context: "QuantizedMatrix codes",
             announced: rows as u64,
         })?;
-        if r.remaining() < cols * 8 + values * mode.bytes_per_value() {
+        let section_bytes = cols
+            .checked_mul(8)
+            .zip(values.checked_mul(mode.bytes_per_value()))
+            .and_then(|(metadata, codes)| metadata.checked_add(codes));
+        if section_bytes.is_none_or(|bytes| r.remaining() < bytes) {
             return Err(WireError::LengthOverflow {
                 context: "QuantizedMatrix sections",
                 announced: values as u64,
@@ -354,6 +358,21 @@ mod tests {
                 q.error_bound()
             );
         }
+    }
+
+    #[test]
+    fn section_size_that_overflows_is_a_typed_error() {
+        // rows = 0 makes the code count 0, and cols · 8 = 2^64 wraps to 0:
+        // an unchecked size test passes and reserves 2^61 offsets.
+        let mut w = WireWriter::new();
+        w.u64(0);
+        w.u64(1 << 61);
+        w.u8(Quantization::I8.tag());
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            QuantizedMatrix::from_wire(&mut WireReader::new(&bytes)),
+            Err(WireError::LengthOverflow { context: "QuantizedMatrix sections", .. })
+        ));
     }
 
     #[test]

@@ -222,10 +222,15 @@ fn read_tensor(r: &mut WireReader<'_>, precision: WirePrecision) -> Result<Tenso
     for _ in 0..rank {
         dims.push(r.u64()? as usize);
     }
-    let len: usize = dims.iter().product();
+    // Untrusted dims: a wrapped product would pass the bounds check below
+    // and build a tensor whose shape disagrees with its data.
+    let len = dims
+        .iter()
+        .try_fold(1usize, |len, &d| len.checked_mul(d))
+        .ok_or(WireError::LengthOverflow { context: "tensor dims", announced: u64::MAX })?;
     let t = match quantization_of(precision) {
         None => {
-            if r.remaining() < len * 4 {
+            if r.remaining() / 4 < len {
                 return Err(WireError::LengthOverflow {
                     context: "tensor values",
                     announced: len as u64,
@@ -849,6 +854,27 @@ mod tests {
         // The decoded package really is lossy — quantisation is not an
         // accounting fiction.
         assert_ne!(back.checkpoint, d.checkpoint);
+    }
+
+    #[test]
+    fn tensor_dims_whose_product_wraps_are_a_typed_error() {
+        // Dims [2^62 + 1, 4] multiply to 2^64 + 4, which wraps to 4: the
+        // four values that follow would pass an unchecked bounds test.
+        let mut w = WireWriter::with_magic(ROUND_MAGIC);
+        w.u8(WirePrecision::F32.tag());
+        w.u8(ROUND_FULL);
+        w.u32(1);
+        w.u64(1);
+        w.u64(2);
+        w.u64((1 << 62) + 1);
+        w.u64(4);
+        for v in [1.0, 2.0, 3.0, 4.0] {
+            w.f32(v);
+        }
+        assert!(matches!(
+            decode_round(&w.into_bytes(), None),
+            Err(CodecError::Wire(WireError::LengthOverflow { context: "tensor dims", .. }))
+        ));
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!   deterministic work count — never from a host measurement — before it
 //!   enters device-time telemetry such as the `EventLog` virtual clock.
 //! * Counters are commutative (atomic adds), gauges and histograms are
-//!   only written from deterministic values, and spans are only opened on
-//!   the orchestration thread, so `PILOTE_THREADS` cannot reorder or
+//!   only written from deterministic values, and spans reach the tree
+//!   either from the orchestration thread or through [`capture`] /
+//!   [`adopt`] in a fixed order, so `PILOTE_THREADS` cannot reorder or
 //!   change anything that [`snapshot`] reports.
 //!
 //! ## Kill switch
@@ -59,7 +60,7 @@ pub use registry::{
     counter, gauge, histogram, reset, snapshot, Counter, Gauge, GaugeSnapshot, Histogram,
     HistogramSnapshot, KernelStats, Snapshot,
 };
-pub use span::{span, SpanGuard, SpanNode};
+pub use span::{adopt, capture, span, Captured, SpanGuard, SpanNode};
 pub use work::KernelKind;
 
 use std::sync::atomic::{AtomicBool, Ordering};

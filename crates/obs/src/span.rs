@@ -12,10 +12,11 @@
 //!   `pilote-magneto` update charged to the virtual clock).
 //!
 //! Spans are intended for orchestration code (training phases, edge
-//! updates), which in this workspace runs on a single thread per
-//! deployment; kernel worker threads never open spans. Under that
-//! discipline the span tree is byte-identical across runs and thread
-//! counts.
+//! updates, fleet operations). Work fanned out to other threads runs
+//! under [`capture`] and joins the orchestrator's tree when it
+//! [`adopt`]s the captures in a fixed order; work run inline is captured
+//! the same way, so the span tree is byte-identical across runs and
+//! thread counts.
 //!
 //! ```
 //! use pilote_obs as obs;
@@ -64,6 +65,99 @@ thread_local! {
     /// Open spans on this thread, outermost first. While open, a node's
     /// `flops` field holds the thread-flop reading at open time.
     static STACK: RefCell<Vec<SpanNode>> = const { RefCell::new(Vec::new()) };
+    /// The innermost [`capture`] running on this thread, if any: it owns
+    /// the logical clock and the finished roots until it returns.
+    static CAPTURE: RefCell<Option<Captured>> = const { RefCell::new(None) };
+}
+
+/// Spans and flops held aside by [`capture`] until [`adopt`]ed.
+#[derive(Debug, Default)]
+#[must_use = "captured spans and flops are lost unless adopted"]
+pub struct Captured {
+    flops: u64,
+    ticks: u64,
+    spans: Vec<SpanNode>,
+}
+
+/// Reserves `n` consecutive logical-clock ticks and returns the first:
+/// from the innermost capture's private clock, else from the global one.
+fn reserve_ticks(n: u64) -> u64 {
+    CAPTURE.with(|c| match c.borrow_mut().as_mut() {
+        Some(capture) => {
+            capture.ticks += n;
+            capture.ticks - n
+        }
+        None => SEQ.fetch_add(n, Ordering::Relaxed),
+    })
+}
+
+/// Records finished spans under the innermost open span, else as roots of
+/// the innermost capture, else in the global log.
+fn attach(nodes: impl IntoIterator<Item = SpanNode>) {
+    let nodes = STACK.with(|s| match s.borrow_mut().last_mut() {
+        Some(parent) => {
+            parent.children.extend(nodes);
+            None
+        }
+        None => Some(nodes),
+    });
+    if let Some(nodes) = nodes {
+        CAPTURE.with(|c| match c.borrow_mut().as_mut() {
+            Some(capture) => capture.spans.extend(nodes),
+            None => FINISHED.lock().expect("span log poisoned").extend(nodes),
+        });
+    }
+}
+
+/// Runs `f` with its spans and flops held aside for [`adopt`].
+///
+/// Inside `f` the thread has no open span and a private logical clock
+/// from tick 0, so spans closing at the top become roots of the capture.
+/// The flops `f` dispatches are taken off this thread's
+/// [`crate::work::thread_flops`] total when it returns (deltas measured
+/// inside `f` are unaffected). Flops are captured even with telemetry
+/// off; spans only with it on. Spans opened in `f` must close in it.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Captured) {
+    let flops_before = work::thread_flops();
+    let outer = crate::enabled()
+        .then(|| (STACK.take(), CAPTURE.replace(Some(Captured::default()))));
+    let result = f();
+    let mut captured = match outer {
+        Some((stack, capture)) => {
+            STACK.set(stack);
+            CAPTURE.replace(capture).expect("capture state is installed until it returns")
+        }
+        None => Captured::default(),
+    };
+    captured.flops = work::thread_flops().wrapping_sub(flops_before);
+    work::set_thread_flops(flops_before);
+    (result, captured)
+}
+
+/// Merges a [`capture`] into the calling thread's trace: its spans nest
+/// under the innermost open span (or become roots), their ticks re-based
+/// onto the logical clock as if they had run here and now, and its flops
+/// are credited to this thread's total. Adopting captures in a fixed order
+/// yields the same tree and numbering whichever threads ran them.
+pub fn adopt(captured: Captured) {
+    work::set_thread_flops(work::thread_flops().wrapping_add(captured.flops));
+    if captured.ticks == 0 {
+        return;
+    }
+    let base = reserve_ticks(captured.ticks);
+    let mut spans = captured.spans;
+    for node in &mut spans {
+        rebase(node, base);
+    }
+    attach(spans);
+}
+
+fn rebase(node: &mut SpanNode, base: u64) {
+    node.seq_open += base;
+    node.seq_close += base;
+    for child in &mut node.children {
+        rebase(child, base);
+    }
 }
 
 /// Opens a span; it closes (and is recorded) when the returned guard
@@ -75,7 +169,7 @@ pub fn span(name: &str) -> SpanGuard {
     }
     let node = SpanNode {
         name: name.to_string(),
-        seq_open: SEQ.fetch_add(1, Ordering::Relaxed),
+        seq_open: reserve_ticks(1),
         seq_close: 0,
         flops: work::thread_flops(),
         attrs: BTreeMap::new(),
@@ -113,18 +207,12 @@ impl Drop for SpanGuard {
         if !self.active {
             return;
         }
-        STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            let Some(mut node) = stack.pop() else {
-                return; // reset() cleared the stack mid-span
-            };
-            node.seq_close = SEQ.fetch_add(1, Ordering::Relaxed);
-            node.flops = work::thread_flops().wrapping_sub(node.flops);
-            match stack.last_mut() {
-                Some(parent) => parent.children.push(node),
-                None => FINISHED.lock().expect("span log poisoned").push(node),
-            }
-        });
+        let Some(mut node) = STACK.with(|s| s.borrow_mut().pop()) else {
+            return; // reset() cleared the stack mid-span
+        };
+        node.seq_close = reserve_ticks(1);
+        node.flops = work::thread_flops().wrapping_sub(node.flops);
+        attach([node]);
     }
 }
 
@@ -194,6 +282,62 @@ mod tests {
         crate::set_enabled(true);
         assert!(finished().is_empty());
         crate::reset();
+        crate::set_enabled(saved);
+    }
+
+    /// The unit of work the capture tests fan out: two sibling spans, one
+    /// with a child and kernel work.
+    fn unit(flops: u64) {
+        {
+            let a = span("a");
+            a.annotate("flops", flops as f64);
+            let _b = span("b");
+            work::record(work::KernelKind::MatVec, flops);
+        }
+        let _c = span("c");
+    }
+
+    #[test]
+    fn adopted_captures_match_the_inline_walk_on_any_thread() {
+        let _guard = crate::registry::tests::LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let saved = crate::enabled();
+        crate::set_enabled(true);
+        crate::reset();
+        {
+            let _outer = span("outer");
+            unit(3);
+            unit(5);
+        }
+        let inline = finished();
+        crate::reset();
+        {
+            let _outer = span("outer");
+            let before = work::thread_flops();
+            let ((), here) = capture(|| unit(3));
+            let there = std::thread::scope(|s| s.spawn(|| capture(|| unit(5)).1).join())
+                .expect("worker");
+            // Nothing leaks into this thread's tree or total until adopted.
+            assert_eq!(work::thread_flops(), before);
+            adopt(here);
+            adopt(there);
+        }
+        assert_eq!(finished(), inline);
+        assert_eq!(inline[0].flops, 8);
+        assert_eq!(inline[0].children.len(), 4);
+        crate::reset();
+        crate::set_enabled(saved);
+    }
+
+    #[test]
+    fn flops_are_captured_with_telemetry_off() {
+        let _guard = crate::registry::tests::LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let saved = crate::enabled();
+        crate::set_enabled(false);
+        let before = work::thread_flops();
+        let ((), captured) = capture(|| unit(7));
+        assert_eq!(work::thread_flops(), before);
+        adopt(captured);
+        assert_eq!(work::thread_flops(), before + 7);
         crate::set_enabled(saved);
     }
 

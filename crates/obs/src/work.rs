@@ -98,6 +98,12 @@ pub fn thread_flops() -> u64 {
     THREAD_FLOPS.with(Cell::get)
 }
 
+/// Overwrites the calling thread's running total ([`crate::capture`] and
+/// [`crate::adopt`] move work between threads; global totals stay put).
+pub(crate) fn set_thread_flops(flops: u64) {
+    THREAD_FLOPS.with(|c| c.set(flops));
+}
+
 /// Global `(name, dispatches, flops)` totals per kernel kind, in
 /// [`KernelKind::ALL`] order.
 pub fn kernel_totals() -> Vec<(&'static str, u64, u64)> {

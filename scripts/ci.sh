@@ -49,6 +49,25 @@ cd "$(dirname "$0")/.."
 
 step() { printf '\n==> %s\n' "$*"; }
 
+repro() { cargo run --release -q -p pilote-bench --bin repro -- "$@"; }
+
+# determinism_gate TAG "REPRO ARGS" FILE...: runs `repro REPRO ARGS` twice
+# and once at PILOTE_THREADS=4, into $obs_dir/TAG1, TAG2 and TAG4, then
+# byte-compares every FILE of the first run against the other two.
+determinism_gate() {
+  local tag="$1" args="$2" file
+  shift 2
+  step "repro $args: byte-identical across runs and at PILOTE_THREADS=4"
+  # $args is unquoted on purpose: it splits into the runner's arguments.
+  repro $args --out "$obs_dir/${tag}1"
+  repro $args --out "$obs_dir/${tag}2"
+  PILOTE_THREADS=4 repro $args --out "$obs_dir/${tag}4"
+  for file in "$@"; do
+    cmp "$obs_dir/${tag}1/$file" "$obs_dir/${tag}2/$file"
+    cmp "$obs_dir/${tag}1/$file" "$obs_dir/${tag}4/$file"
+  done
+}
+
 step "cargo build --workspace --release"
 cargo build --workspace --release
 
@@ -87,41 +106,20 @@ fi
 step "obs: repro obs byte-identical at PILOTE_THREADS 1 vs 4"
 obs_dir="$(mktemp -d)"
 trap 'rm -rf "$obs_dir"' EXIT
-PILOTE_THREADS=1 cargo run --release -q -p pilote-bench --bin repro -- \
-  obs --quick --out "$obs_dir/t1"
-PILOTE_THREADS=4 cargo run --release -q -p pilote-bench --bin repro -- \
-  obs --quick --out "$obs_dir/t4"
+PILOTE_THREADS=1 repro obs --quick --out "$obs_dir/t1"
+PILOTE_THREADS=4 repro obs --quick --out "$obs_dir/t4"
 cmp "$obs_dir/t1/BENCH_obs.json" "$obs_dir/t4/BENCH_obs.json"
 
 step "obs: PILOTE_OBS=0 kill-switch run"
-PILOTE_OBS=0 cargo run --release -q -p pilote-bench --bin repro -- \
-  obs --quick --out "$obs_dir/off"
+PILOTE_OBS=0 repro obs --quick --out "$obs_dir/off"
 
 # --- fleet gate (docs/FLEET.md) -------------------------------------------
 
-step "fleet: repro fleet byte-identical across runs and at PILOTE_THREADS=4"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  fleet --quick --out "$obs_dir/f1"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  fleet --quick --out "$obs_dir/f2"
-PILOTE_THREADS=4 cargo run --release -q -p pilote-bench --bin repro -- \
-  fleet --quick --out "$obs_dir/f4"
-cmp "$obs_dir/f1/BENCH_fleet.json" "$obs_dir/f2/BENCH_fleet.json"
-cmp "$obs_dir/f1/BENCH_fleet.json" "$obs_dir/f4/BENCH_fleet.json"
+determinism_gate f "fleet --quick" BENCH_fleet.json
 
 # --- quality gate (docs/QUALITY.md) ---------------------------------------
 
-step "quality: repro quality byte-identical across runs and at PILOTE_THREADS=4"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  quality --quick --out "$obs_dir/q1"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  quality --quick --out "$obs_dir/q2"
-PILOTE_THREADS=4 cargo run --release -q -p pilote-bench --bin repro -- \
-  quality --quick --out "$obs_dir/q4"
-cmp "$obs_dir/q1/BENCH_quality.json" "$obs_dir/q2/BENCH_quality.json"
-cmp "$obs_dir/q1/BENCH_quality.json" "$obs_dir/q4/BENCH_quality.json"
-cmp "$obs_dir/q1/trace_quality.json" "$obs_dir/q2/trace_quality.json"
-cmp "$obs_dir/q1/trace_quality.json" "$obs_dir/q4/trace_quality.json"
+determinism_gate q "quality --quick" BENCH_quality.json trace_quality.json
 
 step "quality: trace integrity + A/B alert split"
 python3 - "$obs_dir/q1" << 'EOF'
@@ -146,15 +144,7 @@ EOF
 
 # --- policy gate (docs/POLICY.md) -----------------------------------------
 
-step "policy: repro policy byte-identical across runs and at PILOTE_THREADS=4"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  policy --quick --out "$obs_dir/p1"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  policy --quick --out "$obs_dir/p2"
-PILOTE_THREADS=4 cargo run --release -q -p pilote-bench --bin repro -- \
-  policy --quick --out "$obs_dir/p4"
-cmp "$obs_dir/p1/BENCH_policy.json" "$obs_dir/p2/BENCH_policy.json"
-cmp "$obs_dir/p1/BENCH_policy.json" "$obs_dir/p4/BENCH_policy.json"
+determinism_gate p "policy --quick" BENCH_policy.json
 
 step "policy: closed-loop A/B — canary halt, repair ladder, fewer alerts"
 python3 - "$obs_dir/p1" << 'EOF'
@@ -184,15 +174,7 @@ EOF
 
 # --- kernels gate (docs/KERNELS.md) ---------------------------------------
 
-step "kernels: repro kernels check file byte-identical across runs and at PILOTE_THREADS=4"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  kernels --out "$obs_dir/k1"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  kernels --out "$obs_dir/k2"
-PILOTE_THREADS=4 cargo run --release -q -p pilote-bench --bin repro -- \
-  kernels --out "$obs_dir/k4"
-cmp "$obs_dir/k1/BENCH_kernels_check.json" "$obs_dir/k2/BENCH_kernels_check.json"
-cmp "$obs_dir/k1/BENCH_kernels_check.json" "$obs_dir/k4/BENCH_kernels_check.json"
+determinism_gate k "kernels" BENCH_kernels_check.json
 
 step "kernels: oversubscription flagged honestly; packed GEMM never loses to the legacy loop"
 python3 - "$obs_dir/k1" << 'EOF'
@@ -266,27 +248,11 @@ EOF
 
 # --- scaling gate (docs/SCALING.md) ---------------------------------------
 
-step "scaling: reduced-roster fleet --scale large byte-identical across runs and threads"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  fleet --scale large --devices 96 --out "$obs_dir/l1"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  fleet --scale large --devices 96 --out "$obs_dir/l2"
-PILOTE_THREADS=4 cargo run --release -q -p pilote-bench --bin repro -- \
-  fleet --scale large --devices 96 --out "$obs_dir/l4"
-cmp "$obs_dir/l1/BENCH_fleet_large.json" "$obs_dir/l2/BENCH_fleet_large.json"
-cmp "$obs_dir/l1/BENCH_fleet_large.json" "$obs_dir/l4/BENCH_fleet_large.json"
+determinism_gate l "fleet --scale large --devices 96" BENCH_fleet_large.json
 
 # --- wire gate (docs/WIRE.md) ---------------------------------------------
 
-step "wire: repro wire byte-identical across runs and at PILOTE_THREADS=4"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  wire --quick --out "$obs_dir/w1"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  wire --quick --out "$obs_dir/w2"
-PILOTE_THREADS=4 cargo run --release -q -p pilote-bench --bin repro -- \
-  wire --quick --out "$obs_dir/w4"
-cmp "$obs_dir/w1/BENCH_wire.json" "$obs_dir/w2/BENCH_wire.json"
-cmp "$obs_dir/w1/BENCH_wire.json" "$obs_dir/w4/BENCH_wire.json"
+determinism_gate w "wire --quick" BENCH_wire.json
 
 step "wire: i8-delta frontier — >=4x under the JSON baseline, <1 point accuracy loss"
 python3 - "$obs_dir/w1" << 'EOF'
@@ -314,15 +280,7 @@ EOF
 
 # --- scenarios gate (docs/METRICS.md) --------------------------------------
 
-step "scenarios: repro scenarios byte-identical across runs and at PILOTE_THREADS=4"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  scenarios --quick --out "$obs_dir/s1"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  scenarios --quick --out "$obs_dir/s2"
-PILOTE_THREADS=4 cargo run --release -q -p pilote-bench --bin repro -- \
-  scenarios --quick --out "$obs_dir/s4"
-cmp "$obs_dir/s1/BENCH_scenarios.json" "$obs_dir/s2/BENCH_scenarios.json"
-cmp "$obs_dir/s1/BENCH_scenarios.json" "$obs_dir/s4/BENCH_scenarios.json"
+determinism_gate s "scenarios --quick" BENCH_scenarios.json
 
 step "scenarios: matrices cover the schedule; PILOTE forgets less than re-trained"
 python3 - "$obs_dir/s1" << 'EOF'
@@ -361,7 +319,7 @@ for f in results/BENCH_*.json; do
   [ "$(basename "$f")" = "BENCH_index.json" ] && continue
   cp "$f" "$idx_dir/"
 done
-cargo run --release -q -p pilote-bench --bin repro -- index --out "$idx_dir"
+repro index --out "$idx_dir"
 cmp "$idx_dir/BENCH_index.json" results/BENCH_index.json
 
 printf '\nci.sh: all gates passed\n'

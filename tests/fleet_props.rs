@@ -15,19 +15,32 @@
 //! * **delta conservation**: windowed delta telemetry uploads summed at
 //!   the cloud equal the whole-life full-snapshot rollup;
 //! * **sharded serving**: [`pilote::magneto::Fleet::serve_sessions`] is
-//!   bitwise identical to the serial session walk at any thread count.
+//!   bitwise identical to a per-device `serve_batch` walk at any thread
+//!   count;
+//! * **trace determinism**: bulk serving leaves the same span tree — names,
+//!   sequence numbers, flops, attributes — as a `serve_session` loop, and
+//!   `Fleet::deploy` the same `fleet.deploy` span, at 1 and 4 threads.
 //!
-//! The global [`ThreadConfig`] is process-wide, so the thread-variance
-//! tests serialise on [`CONFIG_LOCK`], same as `tests/parallel_props.rs`.
+//! The global [`ThreadConfig`], the telemetry switch and the span log are
+//! process-wide, so every test here serialises on [`OBS_LOCK`].
 
 use pilote::har_data::features::extract_batch;
 use pilote::magneto::{Deployment, TelemetryRollup};
 use pilote::prelude::*;
 use pilote::tensor::parallel::{self, ThreadConfig};
 use proptest::prelude::*;
-use std::sync::{Mutex, OnceLock};
+use pilote::obs::SpanNode;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-static CONFIG_LOCK: Mutex<()> = Mutex::new(());
+/// Held by every test in this binary: besides the thread config, the trace
+/// tests compare the process-wide span log exactly, so no other test may
+/// open spans while one runs (the `OBS_LOCK` pattern of
+/// `tests/quality_props.rs`).
+static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+fn obs_lock() -> MutexGuard<'static, ()> {
+    OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One pre-trained deployment shared by every case (pre-training per case
 /// would dominate the suite's runtime).
@@ -180,6 +193,7 @@ proptest! {
     /// sub-batch of the eval pool.
     #[test]
     fn batched_serving_equals_per_window(start in 0usize..20, len in 1usize..12) {
+        let _guard = obs_lock();
         let eval = &fixture().eval_features;
         let start = start % (eval.rows() - 1);
         let end = (start + len).min(eval.rows());
@@ -201,6 +215,7 @@ proptest! {
     /// to uncached classification of the live model.
     #[test]
     fn cache_stays_coherent_across_model_lifecycle(ops in prop::collection::vec(0u8..3, 1..6)) {
+        let _guard = obs_lock();
         let mut dev = device();
         let eval = &fixture().eval_features;
         for op in ops {
@@ -231,6 +246,7 @@ proptest! {
     /// are identical to an unbounded log over the same schedule.
     #[test]
     fn bounded_event_logs_conserve_telemetry(capacity in 1usize..4) {
+        let _guard = obs_lock();
         let mut bounded = fleet_bounded(0, capacity);
         let mut unbounded = fleet_bounded(0, 0);
         serve_mixed_schedule(&mut bounded);
@@ -265,6 +281,7 @@ proptest! {
 /// per-device caches must all be invalidated by the generation bump.
 #[test]
 fn federated_install_invalidates_every_device_cache() {
+    let _guard = obs_lock();
     let mut f = fleet(0);
     let eval = &fixture().eval_features;
     // Warm every cache.
@@ -290,7 +307,7 @@ fn federated_install_invalidates_every_device_cache() {
 /// rounds, virtual clocks — is bitwise identical at 1 and 4 threads.
 #[test]
 fn fleet_schedule_is_thread_invariant() {
-    let _guard = CONFIG_LOCK.lock().unwrap();
+    let _guard = obs_lock();
     let saved = parallel::current();
     parallel::configure(ThreadConfig::serial());
     let serial = run_schedule(4);
@@ -306,6 +323,7 @@ fn fleet_schedule_is_thread_invariant() {
 /// clocks carry extra upload charges, so they are not compared).
 #[test]
 fn delta_uploads_sum_to_full_snapshot_rollup() {
+    let _guard = obs_lock();
     let mut delta_fleet = fleet(3);
     let mut full_fleet = fleet(3);
     let mut delta_rollup = TelemetryRollup::new();
@@ -328,27 +346,40 @@ fn delta_uploads_sum_to_full_snapshot_rollup() {
     assert_eq!(delta_rollup.histograms, full_rollup.histograms, "delta sums lost histogram buckets");
 }
 
-/// Bulk sharded serving ([`pilote::magneto::Fleet::serve_sessions`]) is
-/// bitwise identical — outcomes, stats, per-device event logs, federated
-/// schedule — to the serial per-session walk, at 1 and 4 threads.
-#[test]
-fn bulk_serving_matches_serial_walk_at_any_thread_count() {
-    let _guard = CONFIG_LOCK.lock().unwrap();
-    let saved = parallel::current();
+/// Ten 4-window sessions, one per user, over the eval pool.
+fn ten_sessions() -> Vec<(u64, Tensor)> {
     let eval = &fixture().eval_features;
-    let sessions: Vec<(u64, Tensor)> = (0..10u64)
+    (0..10u64)
         .map(|user| {
             let start = (user as usize * 3) % (eval.rows() - 4);
             (user, eval.slice_rows(start, start + 4).expect("session"))
         })
-        .collect();
+        .collect()
+}
+
+/// Bulk sharded serving ([`pilote::magneto::Fleet::serve_sessions`]) is
+/// bitwise identical — outcomes, stats, per-device event logs, federated
+/// schedule — to a reference walk that serves each session with one
+/// `serve_batch` on its routed device, at 1 and 4 threads.
+#[test]
+fn bulk_serving_matches_serial_walk_at_any_thread_count() {
+    let _guard = obs_lock();
+    let saved = parallel::current();
+    let sessions = ten_sessions();
     parallel::configure(ThreadConfig::serial());
     let mut reference = fleet(3);
     let mut expected = Vec::new();
-    for (user, session) in &sessions {
-        expected.extend(reference.serve_session(*user, session).expect("serve"));
+    for (n, (user, session)) in sessions.iter().enumerate() {
+        // 4-window sessions fit one 5-window serve chunk.
+        let index = reference.route(*user);
+        expected.extend(reference.device_mut(index).serve_batch(session).expect("serve"));
+        if (n + 1) % 3 == 0 {
+            reference.federated_round().expect("round");
+        }
     }
-    let reference_trace = fleet_trace(&reference);
+    let mut reference_stats = reference.stats();
+    reference_stats.sessions = sessions.len() as u64;
+    reference_stats.windows = expected.len() as u64;
     for threads in [1usize, 4] {
         parallel::configure(ThreadConfig { num_threads: threads, min_parallel_len: 0 });
         let mut f = fleet(3);
@@ -363,11 +394,86 @@ fn bulk_serving_matches_serial_walk_at_any_thread_count() {
                 "window {i} at {threads} threads"
             );
         }
-        assert_eq!(
-            fleet_trace(&f),
-            reference_trace,
-            "bulk serving diverged from the serial walk at {threads} threads"
-        );
+        assert_eq!(f.stats(), reference_stats, "stats at {threads} threads");
+        for i in 0..f.len() {
+            assert_eq!(
+                serde_json::to_string(f.device(i).log()).expect("log json"),
+                serde_json::to_string(reference.device(i).log()).expect("log json"),
+                "device {i} log at {threads} threads"
+            );
+        }
     }
     parallel::configure(saved);
+}
+
+/// The span forest `f` leaves in the process-wide span log, starting from
+/// a reset log and logical clock. Callers hold [`OBS_LOCK`] with telemetry
+/// enabled.
+fn traced(f: impl FnOnce()) -> Vec<SpanNode> {
+    pilote::obs::reset();
+    f();
+    pilote::obs::span::finished()
+}
+
+/// Bulk serving leaves exactly the trace of a `serve_session` loop over
+/// the same sessions — one `fleet.session` span per session in input
+/// order, with its `edge.serve_batch` children, the scheduled
+/// `fleet.federated_round`s between them, and identical sequence numbers,
+/// flops and attributes — at 1 and 4 threads.
+#[test]
+fn bulk_serving_trace_matches_a_serve_session_loop_at_any_thread_count() {
+    let _guard = obs_lock();
+    let saved = (parallel::current(), pilote::obs::enabled());
+    pilote::obs::set_enabled(true);
+    let sessions = ten_sessions();
+    parallel::configure(ThreadConfig::serial());
+    let mut reference = fleet(3);
+    let expected = traced(|| {
+        for (user, session) in &sessions {
+            reference.serve_session(*user, session).expect("serve");
+        }
+    });
+    let session_spans = expected.iter().filter(|s| s.name == "fleet.session").count();
+    assert_eq!(session_spans, sessions.len());
+    for threads in [1usize, 4] {
+        parallel::configure(ThreadConfig { num_threads: threads, min_parallel_len: 0 });
+        let mut f = fleet(3);
+        let trace = traced(|| {
+            f.serve_sessions(&sessions).expect("bulk serve");
+        });
+        assert_eq!(trace, expected, "bulk serving trace diverged at {threads} threads");
+    }
+    parallel::configure(saved.0);
+    pilote::obs::set_enabled(saved.1);
+}
+
+/// `Fleet::deploy` fans installs out across bands yet leaves identical
+/// device logs and an identical `fleet.deploy` span — flops included — at
+/// 1 and 4 threads.
+#[test]
+fn deploy_trace_and_device_logs_are_thread_invariant() {
+    let _guard = obs_lock();
+    let saved = (parallel::current(), pilote::obs::enabled());
+    pilote::obs::set_enabled(true);
+    fixture();
+    let runs: Vec<_> = [1usize, 4]
+        .into_iter()
+        .map(|threads| {
+            parallel::configure(ThreadConfig { num_threads: threads, min_parallel_len: 0 });
+            let mut deployed = None;
+            let trace = traced(|| deployed = Some(fleet(0)));
+            let f = deployed.expect("deployed");
+            let logs: Vec<String> = (0..f.len())
+                .map(|i| serde_json::to_string(f.device(i).log()).expect("log json"))
+                .collect();
+            (trace, logs)
+        })
+        .collect();
+    parallel::configure(saved.0);
+    pilote::obs::set_enabled(saved.1);
+    let (trace, _) = &runs[0];
+    assert_eq!(trace.len(), 1, "one root span: {trace:?}");
+    assert_eq!(trace[0].name, "fleet.deploy");
+    assert!(trace[0].flops > 0, "installs refresh prototypes through kernels");
+    assert_eq!(runs[0], runs[1], "deploy diverged between 1 and 4 threads");
 }
