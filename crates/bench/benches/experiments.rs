@@ -4,9 +4,9 @@
 //! reduced scale so `cargo bench` completes in minutes on one core.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pilote_bench::scenario::{build_scenario, pretrain_base, run_pilote, run_pretrained};
+use pilote_bench::scenario::{build_scenario, pretrain_base, run_arm};
 use pilote_bench::Scale;
-use pilote_core::{Pilote, PiloteConfig, SelectionStrategy};
+use pilote_core::{Method, Pilote, PiloteConfig, SelectionStrategy};
 use pilote_har_data::Activity;
 use std::hint::black_box;
 
@@ -22,13 +22,13 @@ fn bench_pilote_update(c: &mut Criterion) {
     group.bench_function("pilote_update_40ex_3epochs", |b| {
         b.iter(|| {
             let mut m = base.model.clone_model();
-            black_box(run_pilote(&mut m, &base.scenario, 40, 7));
+            black_box(run_arm(Method::Pilote, &mut m, &base.scenario, 40, 7));
         });
     });
-    group.bench_function("pretrained_update_40ex", |b| {
+    group.bench_function("pretrained_arm_40ex", |b| {
         b.iter(|| {
             let mut m = base.model.clone_model();
-            black_box(run_pretrained(&mut m, &base.scenario, 40, 7));
+            black_box(run_arm(Method::Pretrained, &mut m, &base.scenario, 40, 7));
         });
     });
     group.finish();

@@ -4,8 +4,9 @@
 //! data reproduces the paper's orderings before committing to the full
 //! experiment suite.
 
-use pilote_bench::scenario::{build_scenario, pretrain_base, run_pilote, run_pretrained, run_retrained};
+use pilote_bench::scenario::{build_scenario, pretrain_base, run_arm};
 use pilote_bench::Scale;
+use pilote_core::Method;
 use pilote_har_data::Activity;
 
 fn main() {
@@ -20,12 +21,8 @@ fn main() {
         let base = pretrain_base(scenario, &scale, 1);
         let n = scale.exemplars_per_class;
 
-        let mut pre = base.model.clone_model();
-        let r_pre = run_pretrained(&mut pre, &base.scenario, n, 11);
-        let mut retr = base.model.clone_model();
-        let r_retr = run_retrained(&mut retr, &base.scenario, n, 11);
-        let mut pil = base.model.clone_model();
-        let (r_pil, _) = run_pilote(&mut pil, &base.scenario, n, 11);
+        let [r_pre, r_retr, r_pil] = [Method::Pretrained, Method::Retrained, Method::Pilote]
+            .map(|method| run_arm(method, &mut base.model.clone_model(), &base.scenario, n, 11).0);
 
         println!("new={activity}");
         println!(

@@ -6,14 +6,18 @@
 //!   the paper's `m² − d²` form and the Hadsell `(m − d)²` form.
 //! * **A3 pair scheme** — the §5.2 reduced pair population vs full pairs:
 //!   accuracy and update wall-time.
-//! * **A4 strategy comparison** — PILOTE vs the canonical CL families.
+//! * **A4 strategy comparison** — PILOTE vs the canonical CL families,
+//!   every arm learning one new-class draw from one pre-trained model.
 
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use crate::scenario::{build_scenario, pretrain_base, run_pilote, PretrainedBase};
+use crate::scenario::{
+    build_scenario, draw_new_data, evaluate, pretrain_base, run_arm, PretrainedBase,
+};
 use pilote_core::pairs::PairScheme;
 use pilote_core::pilote::{train_embedding, TrainOptions};
-use pilote_core::strategies::{run_strategy, Strategy};
+use pilote_core::strategies::LwfClassifier;
+use pilote_core::Method;
 use pilote_har_data::Activity;
 use pilote_nn::loss::ContrastiveForm;
 use serde_json::json;
@@ -34,7 +38,7 @@ pub fn alpha_sweep(scale: &Scale, seed: u64, out: &Path) -> Result<Vec<(f32, f32
         eprintln!("[ablate-alpha] alpha = {alpha}");
         let mut model = base.model.clone_model();
         model.config_mut().alpha = alpha;
-        let (run, _) = run_pilote(&mut model, &base.scenario, n_new, seed ^ 0xa1);
+        let (run, _) = run_arm(Method::Pilote, &mut model, &base.scenario, n_new, seed ^ 0xa1);
         rows.push((alpha, run.accuracy, run.old_accuracy));
     }
     let mut t = Table::new("A1: balancing weight α", &["alpha", "accuracy", "old-class accuracy"]);
@@ -61,7 +65,7 @@ pub fn margin_sweep(scale: &Scale, seed: u64, out: &Path) -> Result<Vec<(String,
             let mut model = base.model.clone_model();
             model.config_mut().margin = margin;
             model.config_mut().contrastive_form = form;
-            let (run, _) = run_pilote(&mut model, &base.scenario, n_new, seed ^ 0xa2);
+            let (run, _) = run_arm(Method::Pilote, &mut model, &base.scenario, n_new, seed ^ 0xa2);
             rows.push((format!("{form:?}/m={margin}"), margin, run.accuracy));
         }
     }
@@ -145,32 +149,25 @@ pub fn strategy_comparison(
 ) -> Result<Vec<(String, f32, f32, f32)>, ReportError> {
     let base = base_for(scale, seed);
     let n_new = scale.exemplars_per_class;
-    let mut rng = pilote_tensor::Rng64::new(seed ^ 0xa4);
-    let new_data = base
-        .scenario
-        .new_pool
-        .sample_class(base.scenario.new_activity.label(), n_new, &mut rng)
-        .expect("sample");
-    let new_label = base.scenario.new_activity.label();
+    let round_seed = seed ^ 0xa4;
     let mut rows = Vec::new();
-
-    // PILOTE itself first.
-    let mut pil = base.model.clone_model();
-    let (run, _) = run_pilote(&mut pil, &base.scenario, n_new, seed ^ 0xa4);
-    rows.push(("pilote".to_string(), run.accuracy, run.old_accuracy, run.new_accuracy));
-
-    for strategy in [
-        Strategy::NaiveFinetune,
-        Strategy::Replay { budget: n_new },
-        Strategy::GDumb { budget: n_new },
-        Strategy::Ewc { lambda: 50.0 },
-        Strategy::Lwf { temperature: 2.0 },
-    ] {
-        eprintln!("[ablate-strategies] {}", strategy.name());
-        let outcome = run_strategy(strategy, &base.model, &new_data, &base.scenario.test, new_label)
-            .expect("strategy");
-        rows.push((outcome.strategy, outcome.accuracy, outcome.old_accuracy, outcome.new_accuracy));
+    for method in
+        [Method::Pilote, Method::NaiveFinetune, Method::Retrained, Method::GDumb, Method::Ewc]
+    {
+        eprintln!("[ablate-strategies] {}", method.name());
+        let mut model = base.model.clone_model();
+        let (run, _) = run_arm(method, &mut model, &base.scenario, n_new, round_seed);
+        rows.push((method.name().to_string(), run.accuracy, run.old_accuracy, run.new_accuracy));
     }
+
+    // LwF classifies with a softmax head instead of NCM, so it is no
+    // `Method`; it learns the same draw and is scored the same way.
+    eprintln!("[ablate-strategies] lwf");
+    let new_data = draw_new_data(&base.scenario, n_new, round_seed);
+    let mut lwf = LwfClassifier::from_pretrained(&base.model).expect("lwf head");
+    lwf.learn_new_class(&new_data, base.scenario.new_activity.label()).expect("lwf update");
+    let run = evaluate(&base.scenario, |data| lwf.accuracy(data));
+    rows.push(("lwf".to_string(), run.accuracy, run.old_accuracy, run.new_accuracy));
 
     let mut t = Table::new(
         "A4: continual-learning strategy comparison (new class Run)",

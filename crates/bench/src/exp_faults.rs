@@ -23,8 +23,8 @@
 
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use crate::scenario::{pretrain_base, run_pilote, run_pretrained, run_retrained, Scenario};
-use pilote_core::{Pilote, UpdateStage};
+use crate::scenario::{pretrain_base, run_arm, Scenario};
+use pilote_core::{Method, Pilote, UpdateStage};
 use pilote_edge_sim::faults::{
     FlakyLink, LinkFaultRates, RetryPolicy, SensorFaultInjector, SensorFaultRates,
 };
@@ -36,7 +36,6 @@ use pilote_har_data::sensors::WINDOW_LEN;
 use pilote_har_data::stream::WindowAssembler;
 use pilote_har_data::{Activity, Simulator, FEATURE_DIM};
 use pilote_magneto::{Deployment, EdgeDevice, UpdateStatus};
-use pilote_nn::Checkpoint;
 use pilote_tensor::{Rng64, Tensor};
 use serde_json::json;
 use std::path::Path;
@@ -231,12 +230,12 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
 
     // The three models of §6.1.3, updated once on clean data; the sensor
     // sweep then measures how their accuracy holds up on corrupted input.
-    let mut pre = base.model.clone_model();
-    run_pretrained(&mut pre, &base.scenario, new_exemplars, seed);
-    let mut ret = base.model.clone_model();
-    run_retrained(&mut ret, &base.scenario, new_exemplars, seed);
-    let mut pil = base.model.clone_model();
-    run_pilote(&mut pil, &base.scenario, new_exemplars, seed);
+    let arms = [Method::Pretrained, Method::Retrained, Method::Pilote];
+    let [mut pre, mut ret, mut pil] = arms.map(|method| {
+        let mut model = base.model.clone_model();
+        run_arm(method, &mut model, &base.scenario, new_exemplars, seed);
+        model
+    });
 
     // Raw eval windows (label, [120, 22]) streamed through the assembler.
     let eval_per_activity = (scale.per_activity / 4).max(20);
@@ -258,13 +257,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
         sensor_rows.push(sensor_row(rate, i, seed, &eval, &norm, &mut models));
     }
 
-    let deployment = Deployment {
-        checkpoint: Checkpoint::capture(base.model.net_mut().layers_mut()),
-        support: base.model.support().clone(),
-        normalizer: norm.clone(),
-        config: base.model.config().clone(),
-        prototypes: None,
-    };
+    let deployment = Deployment::from_model(&mut base.model, norm.clone());
     let link_rows: Vec<serde_json::Value> = FAULT_RATES
         .iter()
         .enumerate()

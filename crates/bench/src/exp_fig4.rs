@@ -7,8 +7,8 @@
 
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use crate::scenario::{build_scenario, pretrain_base, run_pilote, run_pretrained, run_retrained};
-use pilote_core::{ConfusionMatrix, Pilote};
+use crate::scenario::{build_scenario, pretrain_base, run_arm};
+use pilote_core::{ConfusionMatrix, Method, Pilote};
 use pilote_har_data::{Activity, Dataset};
 use serde_json::json;
 use std::path::Path;
@@ -43,17 +43,13 @@ pub fn run(
     let base = pretrain_base(scenario, scale, seed);
     let n_new = scale.exemplars_per_class;
 
-    let mut pre = base.model.clone_model();
-    run_pretrained(&mut pre, &base.scenario, n_new, seed ^ 1);
-    let cm_pre = confusion(&mut pre, &base.scenario.test);
-
-    let mut retr = base.model.clone_model();
-    run_retrained(&mut retr, &base.scenario, n_new, seed ^ 2);
-    let cm_retr = confusion(&mut retr, &base.scenario.test);
-
-    let mut pil = base.model.clone_model();
-    run_pilote(&mut pil, &base.scenario, n_new, seed ^ 2);
-    let cm_pil = confusion(&mut pil, &base.scenario.test);
+    let arms =
+        [(Method::Pretrained, seed ^ 1), (Method::Retrained, seed ^ 2), (Method::Pilote, seed ^ 2)];
+    let [cm_pre, cm_retr, cm_pil] = arms.map(|(method, round_seed)| {
+        let mut model = base.model.clone_model();
+        run_arm(method, &mut model, &base.scenario, n_new, round_seed);
+        confusion(&mut model, &base.scenario.test)
+    });
 
     for (name, cm) in [("Pre-trained", &cm_pre), ("Re-trained", &cm_retr), ("PILOTE", &cm_pil)] {
         println!("Figure 4 — {name} (accuracy {:.4})\n{cm}", cm.accuracy());

@@ -9,9 +9,9 @@
 
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use crate::scenario::{build_scenario, pretrain_base, run_pilote, run_pretrained, run_retrained};
+use crate::scenario::{build_scenario, pretrain_base, run_arm};
 use pilote_core::projection::{pairwise_separation, scatter_2d, separation_score};
-use pilote_core::Pilote;
+use pilote_core::{Method, Pilote};
 use pilote_har_data::{Activity, Dataset};
 use serde_json::json;
 use std::path::Path;
@@ -69,17 +69,13 @@ pub fn run(
         plot_set = plot_set.concat(&d).expect("concat");
     }
 
-    let mut pre = base.model.clone_model();
-    run_pretrained(&mut pre, &base.scenario, n_new, seed ^ 1);
-    let (q_pre, s_pre) = analyse(&mut pre, &plot_set);
-
-    let mut retr = base.model.clone_model();
-    run_retrained(&mut retr, &base.scenario, n_new, seed ^ 2);
-    let (q_retr, s_retr) = analyse(&mut retr, &plot_set);
-
-    let mut pil = base.model.clone_model();
-    run_pilote(&mut pil, &base.scenario, n_new, seed ^ 2);
-    let (q_pil, s_pil) = analyse(&mut pil, &plot_set);
+    let arms =
+        [(Method::Pretrained, seed ^ 1), (Method::Retrained, seed ^ 2), (Method::Pilote, seed ^ 2)];
+    let [(q_pre, s_pre), (q_retr, s_retr), (q_pil, s_pil)] = arms.map(|(method, round_seed)| {
+        let mut model = base.model.clone_model();
+        run_arm(method, &mut model, &base.scenario, n_new, round_seed);
+        analyse(&mut model, &plot_set)
+    });
 
     let mut t = Table::new(
         "Figure 5: embedding-space separation scores (higher = cleaner clusters)",

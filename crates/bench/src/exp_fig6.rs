@@ -10,10 +10,8 @@
 
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use crate::scenario::{
-    build_scenario, pretrain_base, run_pilote, run_pretrained, run_retrained, with_support_budget,
-};
-use pilote_core::SelectionStrategy;
+use crate::scenario::{build_scenario, pretrain_base, run_arm, with_support_budget};
+use pilote_core::{Method, SelectionStrategy};
 use pilote_har_data::Activity;
 use serde_json::json;
 use std::path::Path;
@@ -52,19 +50,16 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<Vec<Fig6Point>, Repor
             // the same number of (random) exemplars.
             let rebased = with_support_budget(&base, budget, strategy, seed ^ budget as u64);
 
-            let mut pre = rebased.clone_model();
-            let r_pre = run_pretrained(&mut pre, &base.scenario, budget, seed ^ 0xa);
-            let mut retr = rebased.clone_model();
-            let r_retr = run_retrained(&mut retr, &base.scenario, budget, seed ^ 0xb);
-            let mut pil = rebased.clone_model();
-            let (r_pil, _) = run_pilote(&mut pil, &base.scenario, budget, seed ^ 0xb);
-
+            let accuracy = |method, round_seed| {
+                let mut model = rebased.clone_model();
+                run_arm(method, &mut model, &base.scenario, budget, round_seed).0.accuracy
+            };
             points.push(Fig6Point {
                 strategy: strategy.name(),
                 budget,
-                pretrained: r_pre.accuracy,
-                retrained: r_retr.accuracy,
-                pilote: r_pil.accuracy,
+                pretrained: accuracy(Method::Pretrained, seed ^ 0xa),
+                retrained: accuracy(Method::Retrained, seed ^ 0xb),
+                pilote: accuracy(Method::Pilote, seed ^ 0xb),
             });
         }
     }

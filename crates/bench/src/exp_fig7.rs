@@ -8,7 +8,8 @@
 
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use crate::scenario::{build_scenario, pretrain_base, run_pilote, run_pretrained, run_retrained};
+use crate::scenario::{build_scenario, pretrain_base, run_arm};
+use pilote_core::Method;
 use pilote_har_data::Activity;
 use serde_json::json;
 use std::path::Path;
@@ -37,17 +38,15 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<Vec<Fig7Point>, Repor
 
     for &n_new in &NEW_COUNTS {
         eprintln!("[fig7] {} new-class exemplars", n_new);
-        let mut pre = base.model.clone_model();
-        let r_pre = run_pretrained(&mut pre, &base.scenario, n_new, seed ^ 0x70);
-        let mut retr = base.model.clone_model();
-        let r_retr = run_retrained(&mut retr, &base.scenario, n_new, seed ^ 0x71);
-        let mut pil = base.model.clone_model();
-        let (r_pil, _) = run_pilote(&mut pil, &base.scenario, n_new, seed ^ 0x71);
+        let accuracy = |method, round_seed| {
+            let mut model = base.model.clone_model();
+            run_arm(method, &mut model, &base.scenario, n_new, round_seed).0.accuracy
+        };
         points.push(Fig7Point {
             new_exemplars: n_new,
-            pretrained: r_pre.accuracy,
-            retrained: r_retr.accuracy,
-            pilote: r_pil.accuracy,
+            pretrained: accuracy(Method::Pretrained, seed ^ 0x70),
+            retrained: accuracy(Method::Retrained, seed ^ 0x71),
+            pilote: accuracy(Method::Pilote, seed ^ 0x71),
         });
     }
 

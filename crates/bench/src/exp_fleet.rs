@@ -21,11 +21,9 @@
 use crate::exp_faults::faulted_scenario;
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use crate::scenario::pretrain_base;
+use crate::scenario::{pretrain_base, session_slice};
 use pilote_edge_sim::{DeviceProfile, LinkModel};
-use pilote_har_data::dataset::Dataset;
 use pilote_magneto::{Deployment, EdgeDevice, Fleet, FleetConfig, FleetStats, TelemetryRollup};
-use pilote_nn::Checkpoint;
 use pilote_tensor::{Rng64, Tensor};
 use serde_json::json;
 use std::path::Path;
@@ -66,13 +64,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<FleetStats, ReportErr
     // --- cloud: pre-train once, package once --------------------------
     let (scenario, norm, _sim) = faulted_scenario(scale, seed);
     let mut base = pretrain_base(scenario, scale, seed);
-    let deployment = Deployment {
-        checkpoint: Checkpoint::capture(base.model.net_mut().layers_mut()),
-        support: base.model.support().clone(),
-        normalizer: norm,
-        config: base.model.config().clone(),
-        prototypes: None,
-    };
+    let deployment = Deployment::from_model(&mut base.model, norm);
 
     // --- fleet: heterogeneous devices over a link mix ------------------
     let links = [LinkModel::wifi(), LinkModel::cellular_4g(), LinkModel::weak_cellular()];
@@ -112,7 +104,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<FleetStats, ReportErr
     let mut session_cursor = 0usize;
     for round in 0..SESSIONS_PER_USER {
         for user in 0..USERS {
-            let features = session_slice(eval, &mut session_cursor);
+            let features = session_slice(eval, &mut session_cursor, WINDOWS_PER_SESSION);
             let outcomes = fleet.serve_session(user, &features).expect("serve session");
             if round == 0 && user == 0 {
                 batched_equals_per_window =
@@ -201,23 +193,6 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<FleetStats, ReportErr
     Ok(stats)
 }
 
-/// Next deterministic `[WINDOWS_PER_SESSION, 28]` slice of the eval pool,
-/// wrapping at the end.
-fn session_slice(eval: &Dataset, cursor: &mut usize) -> Tensor {
-    session_slice_of(eval, cursor, WINDOWS_PER_SESSION)
-}
-
-/// Next deterministic `[windows, 28]` slice of the eval pool, wrapping at
-/// the end.
-fn session_slice_of(eval: &Dataset, cursor: &mut usize, windows: usize) -> Tensor {
-    let rows = eval.features.rows();
-    let start = *cursor % rows.saturating_sub(windows).max(1);
-    *cursor += windows;
-    eval.features
-        .slice_rows(start, (start + windows).min(rows))
-        .expect("eval slice in range")
-}
-
 /// Default device count for `repro fleet --scale large`.
 pub const LARGE_DEVICES: usize = 10_000;
 
@@ -266,13 +241,7 @@ pub fn run_large(
     // --- cloud: pre-train once, package once --------------------------
     let (scenario, norm, _sim) = faulted_scenario(scale, seed);
     let mut base = pretrain_base(scenario, scale, seed);
-    let deployment = Deployment {
-        checkpoint: Checkpoint::capture(base.model.net_mut().layers_mut()),
-        support: base.model.support().clone(),
-        normalizer: norm,
-        config: base.model.config().clone(),
-        prototypes: None,
-    };
+    let deployment = Deployment::from_model(&mut base.model, norm);
 
     // --- fleet: sharded install over the standard link mix -------------
     let links = [LinkModel::wifi(), LinkModel::cellular_4g(), LinkModel::weak_cellular()];
@@ -294,7 +263,7 @@ pub fn run_large(
     let eval = &base.scenario.test;
     let mut cursor = 0usize;
     let sessions: Vec<(u64, Tensor)> = (0..devices as u64)
-        .map(|user| (user, session_slice_of(eval, &mut cursor, LARGE_WINDOWS_PER_SESSION)))
+        .map(|user| (user, session_slice(eval, &mut cursor, LARGE_WINDOWS_PER_SESSION)))
         .collect();
 
     let mut rollup = TelemetryRollup::new();

@@ -23,7 +23,6 @@ use crate::scenario::pretrain_base;
 use pilote_edge_sim::{DeviceProfile, LinkModel};
 use pilote_har_data::Activity;
 use pilote_magneto::{Deployment, EdgeDevice, UpdateStatus};
-use pilote_nn::Checkpoint;
 use pilote_obs::Snapshot;
 use pilote_tensor::{Rng64, Tensor};
 use serde_json::json;
@@ -49,13 +48,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<Snapshot, ReportError
     let (scenario, norm, mut sim) = faulted_scenario(scale, seed);
     let mut base = pretrain_base(scenario, scale, seed);
 
-    let deployment = Deployment {
-        checkpoint: Checkpoint::capture(base.model.net_mut().layers_mut()),
-        support: base.model.support().clone(),
-        normalizer: norm,
-        config: base.model.config().clone(),
-        prototypes: None,
-    };
+    let deployment = Deployment::from_model(&mut base.model, norm);
     let mut device =
         EdgeDevice::install(DeviceProfile::budget_phone(), &deployment, &LinkModel::wifi())
             .expect("install");

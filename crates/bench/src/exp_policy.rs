@@ -32,7 +32,7 @@ use pilote_har_data::features::extract_batch;
 use pilote_har_data::preprocess::Normalizer;
 use pilote_har_data::{Activity, Simulator};
 use pilote_magneto::{Deployment, EdgeDevice, Fleet, FleetConfig, PolicyConfig, RolloutStage};
-use pilote_nn::{Checkpoint, Layer};
+use pilote_nn::Layer;
 use pilote_tensor::Rng64;
 use serde_json::json;
 use std::path::Path;
@@ -216,13 +216,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
 
     let (train, test, norm) = corpus(scale, seed);
     let mut model = pretrain(&train, scale, seed);
-    let deployment = Deployment {
-        checkpoint: Checkpoint::capture(model.net_mut().layers_mut()),
-        support: model.support().clone(),
-        normalizer: norm,
-        config: model.config().clone(),
-        prototypes: None,
-    };
+    let deployment = Deployment::from_model(&mut model, norm);
     let base_labels: Vec<usize> = BASE_ACTIVITIES.iter().map(|a| a.label()).collect();
     let probe = test.filter_classes(&base_labels).expect("probe classes");
 

@@ -25,28 +25,16 @@
 
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use pilote_core::baselines::retrained_update;
-use pilote_core::{Pilote, PiloteConfig, QualityThresholds, SelectionStrategy};
+use crate::scenario::{corpus, pretrain_two_class, session_slice, BASE_ACTIVITIES, INCREMENTS};
+use pilote_core::{Method, QualityThresholds};
 use pilote_edge_sim::{DeviceProfile, LinkModel};
-use pilote_har_data::dataset::Dataset;
-use pilote_har_data::features::extract_batch;
-use pilote_har_data::preprocess::Normalizer;
-use pilote_har_data::{Activity, Simulator};
 use pilote_magneto::{Deployment, EdgeDevice, Fleet, FleetConfig};
-use pilote_nn::Checkpoint;
 use pilote_tensor::{Rng64, Tensor};
 use serde_json::json;
 use std::path::Path;
 
 /// Devices in the quality fleet.
 pub const FLEET_DEVICES: usize = 4;
-
-/// Activities the cloud pre-trains on; the other three arrive as
-/// increments.
-const BASE_ACTIVITIES: [Activity; 2] = [Activity::Still, Activity::Walk];
-
-/// The three increments of the schedule, learned one at a time.
-const INCREMENTS: [Activity; 3] = [Activity::Run, Activity::Drive, Activity::EScooter];
 
 /// Users routed into the fleet each serving phase.
 const USERS: u64 = 6;
@@ -57,44 +45,6 @@ const WINDOWS_PER_SESSION: usize = 4;
 /// Labelled samples per increment (also the update threshold, so the last
 /// label triggers exactly one incremental update).
 const LABELS_PER_INCREMENT: usize = 12;
-
-/// Builds the five-activity corpus, keeping the fitted normaliser for the
-/// deployment package, and splits a held-out test set.
-fn corpus(scale: &Scale, seed: u64) -> (Dataset, Dataset, Normalizer) {
-    let mut sim = Simulator::with_seed(seed);
-    let counts: Vec<(Activity, usize)> =
-        Activity::ALL.iter().map(|&a| (a, scale.per_activity)).collect();
-    let raw = sim.raw_dataset(&counts);
-    let features = extract_batch(&raw).expect("feature extraction");
-    let (norm, features) = Normalizer::fit_transform(&features).expect("normalise");
-    let data = Dataset::new(features, raw.labels).expect("dataset");
-    let mut rng = Rng64::new(seed ^ 0x5011);
-    let (train, test) = data.stratified_split(scale.test_fraction(), &mut rng).expect("split");
-    (train, test, norm)
-}
-
-/// Pre-trains on the base activities only (same budget shape as
-/// [`crate::scenario::pretrain_base`], but over two classes instead of
-/// four — the schedule needs three increments of headroom).
-fn pretrain_two_class(train: &Dataset, scale: &Scale, seed: u64) -> Pilote {
-    let base_labels: Vec<usize> = BASE_ACTIVITIES.iter().map(|a| a.label()).collect();
-    let base_train = train.filter_classes(&base_labels).expect("base classes");
-    let mut cfg = PiloteConfig::paper(seed);
-    cfg.max_epochs = scale.pretrain_epochs;
-    cfg.pairs_per_sample = 8;
-    cfg.lr_halve_every = 3;
-    let (mut model, _) = Pilote::pretrain(
-        cfg,
-        &base_train,
-        scale.exemplars_per_class,
-        SelectionStrategy::Herding,
-    )
-    .expect("pretrain");
-    model.config_mut().max_epochs = scale.max_epochs;
-    model.config_mut().pairs_per_sample = 4;
-    model.config_mut().lr_halve_every = 1;
-    model
-}
 
 /// JSON row for one quality report (the forgetting-curve sample).
 fn report_row(r: &pilote_core::QualityReport) -> serde_json::Value {
@@ -122,13 +72,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
     // --- cloud: one corpus, one two-class pre-train, one package --------
     let (train, test, norm) = corpus(scale, seed);
     let mut model = pretrain_two_class(&train, scale, seed);
-    let deployment = Deployment {
-        checkpoint: Checkpoint::capture(model.net_mut().layers_mut()),
-        support: model.support().clone(),
-        normalizer: norm,
-        config: model.config().clone(),
-        prototypes: None,
-    };
+    let deployment = Deployment::from_model(&mut model, norm);
     let base_labels: Vec<usize> = BASE_ACTIVITIES.iter().map(|a| a.label()).collect();
     let probe = test.filter_classes(&base_labels).expect("probe classes");
     let thresholds = QualityThresholds::default();
@@ -153,7 +97,9 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
             .arm_quality_monitor(probe.clone(), &base_labels, thresholds)
             .expect("arm");
         if retrain {
-            retrained_update(device.model_mut(), &ab_samples, budget).expect("retrained update");
+            Method::Retrained
+                .update(device.model_mut(), &ab_samples, budget)
+                .expect("retrained update");
             device.sample_quality().expect("sample");
         } else {
             for i in 0..ab_samples.features.rows() {
@@ -190,7 +136,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
     for (step, activity) in INCREMENTS.iter().enumerate() {
         // Serving phase: every user runs one session off the eval pool.
         for user in 0..USERS {
-            let features = session_slice(&test, &mut session_cursor);
+            let features = session_slice(&test, &mut session_cursor, WINDOWS_PER_SESSION);
             fleet.serve_session(user, &features).expect("serve session");
         }
         // One user teaches their device the increment activity; the last
@@ -277,17 +223,6 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
     });
     write_json(out, "BENCH_quality.json", &doc)?;
     Ok(doc)
-}
-
-/// Next deterministic `[WINDOWS_PER_SESSION, 28]` slice of the eval pool,
-/// wrapping at the end.
-fn session_slice(eval: &Dataset, cursor: &mut usize) -> Tensor {
-    let rows = eval.features.rows();
-    let start = *cursor % rows.saturating_sub(WINDOWS_PER_SESSION).max(1);
-    *cursor += WINDOWS_PER_SESSION;
-    eval.features
-        .slice_rows(start, (start + WINDOWS_PER_SESSION).min(rows))
-        .expect("eval slice in range")
 }
 
 #[cfg(test)]

@@ -5,9 +5,9 @@
 //! One fixed class-incremental schedule — pre-train on {Still, Walk},
 //! then learn Run, Drive and EScooter one at a time — replayed for the
 //! paper's three strategies from the **same** deployment and the **same**
-//! pre-drawn sample batches:
+//! pre-drawn sample batches, each arm one [`pilote_core::Method`]:
 //!
-//! * **PILOTE** — on-device labelling + the distillation update;
+//! * **PILOTE** — the distillation update;
 //! * **Re-trained** — contrastive-only fine-tune (no distillation), the
 //!   paper's catastrophic-forgetting baseline;
 //! * **Pre-trained** — frozen embedding, new exemplars only.
@@ -18,8 +18,8 @@
 //! [`pilote_core::AccuracyMatrix`] over a five-class held-out probe. The
 //! emitted JSON holds the **full matrices** plus the derived metrics —
 //! average-accuracy and forgetting curves, backward/forward transfer —
-//! so rival strategies (replay, self-distillation, …) can land as new
-//! arms of this one benchmark.
+//! so rival strategies (further `pilote_core::Method` variants) can land
+//! as new arms of this one benchmark.
 //!
 //! A second part replays the PILOTE schedule on a heterogeneous fleet
 //! (serve → label → federated round per increment) and rolls the
@@ -35,30 +35,17 @@
 
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use pilote_core::baselines::{pretrained_update, retrained_update};
-use pilote_core::{
-    Pilote, PiloteConfig, QualityThresholds, SelectionStrategy, SessionSummary, TaskGroup,
-};
+use crate::scenario::{corpus, pretrain_two_class, session_slice, BASE_ACTIVITIES, INCREMENTS};
+use pilote_core::{Method, QualityThresholds, SessionSummary, TaskGroup};
 use pilote_edge_sim::{DeviceProfile, LinkModel};
 use pilote_har_data::dataset::Dataset;
-use pilote_har_data::features::extract_batch;
-use pilote_har_data::preprocess::Normalizer;
-use pilote_har_data::{Activity, Simulator};
 use pilote_magneto::{Deployment, EdgeDevice, Fleet, FleetConfig};
-use pilote_nn::Checkpoint;
 use pilote_tensor::{Rng64, Tensor};
 use serde_json::json;
 use std::path::Path;
 
 /// Devices in the fleet part.
 pub const FLEET_DEVICES: usize = 4;
-
-/// Activities the cloud pre-trains on; the other three arrive as
-/// increments.
-const BASE_ACTIVITIES: [Activity; 2] = [Activity::Still, Activity::Walk];
-
-/// The incremental schedule, learned one activity at a time.
-const INCREMENTS: [Activity; 3] = [Activity::Run, Activity::Drive, Activity::EScooter];
 
 /// Users routed into the fleet each serving phase.
 const USERS: u64 = 6;
@@ -76,49 +63,6 @@ fn task_groups() -> Vec<TaskGroup> {
     let mut tasks = vec![TaskGroup::new("base", &base)];
     tasks.extend(INCREMENTS.iter().map(|a| TaskGroup::new(a.name(), &[a.label()])));
     tasks
-}
-
-/// Builds the five-activity corpus, keeping the fitted normaliser for the
-/// deployment package, and splits a held-out test set.
-fn corpus(scale: &Scale, seed: u64) -> (Dataset, Dataset, Normalizer) {
-    let mut sim = Simulator::with_seed(seed);
-    let counts: Vec<(Activity, usize)> =
-        Activity::ALL.iter().map(|&a| (a, scale.per_activity)).collect();
-    let raw = sim.raw_dataset(&counts);
-    let features = extract_batch(&raw).expect("feature extraction");
-    let (norm, features) = Normalizer::fit_transform(&features).expect("normalise");
-    let data = Dataset::new(features, raw.labels).expect("dataset");
-    let mut rng = Rng64::new(seed ^ 0x5011);
-    let (train, test) = data.stratified_split(scale.test_fraction(), &mut rng).expect("split");
-    (train, test, norm)
-}
-
-/// Pre-trains on the base activities only (the schedule needs three
-/// increments of headroom).
-fn pretrain_two_class(train: &Dataset, scale: &Scale, seed: u64) -> Pilote {
-    let base_labels: Vec<usize> = BASE_ACTIVITIES.iter().map(|a| a.label()).collect();
-    let base_train = train.filter_classes(&base_labels).expect("base classes");
-    let mut cfg = PiloteConfig::paper(seed);
-    cfg.max_epochs = scale.pretrain_epochs;
-    cfg.pairs_per_sample = 8;
-    cfg.lr_halve_every = 3;
-    let (mut model, _) = Pilote::pretrain(
-        cfg,
-        &base_train,
-        scale.exemplars_per_class,
-        SelectionStrategy::Herding,
-    )
-    .expect("pretrain");
-    // Gentler edge schedule than the single-increment benches: three
-    // stacked increments (and the Re-trained arm's full pair scheme) sit
-    // at the edge of contrastive collapse at the paper's 0.01 — a lower
-    // starting rate keeps every arm in the learn-then-forget regime the
-    // matrices are meant to measure.
-    model.config_mut().max_epochs = scale.max_epochs.min(6);
-    model.config_mut().pairs_per_sample = 4;
-    model.config_mut().lr_halve_every = 1;
-    model.config_mut().initial_lr = 0.003;
-    model
 }
 
 /// Matrix + derived metrics of one strategy arm, as JSON.
@@ -147,13 +91,14 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
     // --- cloud: one corpus, one two-class pre-train, one package --------
     let (train, test, norm) = corpus(scale, seed);
     let mut model = pretrain_two_class(&train, scale, seed);
-    let deployment = Deployment {
-        checkpoint: Checkpoint::capture(model.net_mut().layers_mut()),
-        support: model.support().clone(),
-        normalizer: norm,
-        config: model.config().clone(),
-        prototypes: None,
-    };
+    // Gentler edge schedule than the single-increment benches: three
+    // stacked increments (and the Re-trained arm's full pair scheme) sit
+    // at the edge of contrastive collapse at the paper's 0.01 — a lower
+    // starting rate keeps every arm in the learn-then-forget regime the
+    // matrices are meant to measure.
+    model.config_mut().max_epochs = scale.max_epochs.min(6);
+    model.config_mut().initial_lr = 0.003;
+    let deployment = Deployment::from_model(&mut model, norm);
     let base_labels: Vec<usize> = BASE_ACTIVITIES.iter().map(|a| a.label()).collect();
     let tasks = task_groups();
     let thresholds = QualityThresholds::default();
@@ -178,7 +123,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
         })
         .collect();
 
-    let arm = |strategy: &str| -> EdgeDevice {
+    let arm = |method: Method| -> (SessionSummary, serde_json::Value) {
         let mut device =
             EdgeDevice::install(DeviceProfile::flagship_phone(), &deployment, &LinkModel::wifi())
                 .expect("install");
@@ -190,32 +135,19 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
                 tasks.clone(),
             )
             .expect("arm");
-        for (activity, batch) in INCREMENTS.iter().zip(&batches) {
-            match strategy {
-                "pilote" => {
-                    for i in 0..batch.features.rows() {
-                        device
-                            .label_sample(activity.label(), Tensor::vector(batch.features.row(i)));
-                    }
-                    device.update(budget).expect("pilote update");
-                }
-                "retrained" => {
-                    retrained_update(device.model_mut(), batch, budget).expect("retrained update");
-                    device.sample_quality().expect("sample");
-                }
-                "pretrained" => {
-                    pretrained_update(device.model_mut(), batch, budget)
-                        .expect("pretrained update");
-                    device.sample_quality().expect("sample");
-                }
-                other => unreachable!("unknown strategy {other}"),
-            }
+        for batch in &batches {
+            method
+                .update(device.model_mut(), batch, budget)
+                .unwrap_or_else(|e| panic!("{} update: {e}", method.name()));
+            device.sample_quality().expect("sample");
         }
-        device
+        arm_json(&device)
     };
-    let (pilote_summary, pilote_doc) = arm_json(&arm("pilote"));
-    let (retrained_summary, retrained_doc) = arm_json(&arm("retrained"));
-    let (pretrained_summary, pretrained_doc) = arm_json(&arm("pretrained"));
+    let [
+        (pilote_summary, pilote_doc),
+        (retrained_summary, retrained_doc),
+        (pretrained_summary, pretrained_doc),
+    ] = [Method::Pilote, Method::Retrained, Method::Pretrained].map(arm);
 
     // --- part 2: the PILOTE schedule on a heterogeneous fleet -----------
     let links = [LinkModel::wifi(), LinkModel::cellular_4g(), LinkModel::weak_cellular()];
@@ -241,7 +173,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
     let mut rng = Rng64::new(seed ^ 0xf1e7_5ce7);
     for (step, activity) in INCREMENTS.iter().enumerate() {
         for user in 0..USERS {
-            let features = session_slice(&test, &mut session_cursor);
+            let features = session_slice(&test, &mut session_cursor, WINDOWS_PER_SESSION);
             fleet.serve_session(user, &features).expect("serve session");
         }
         let labeller = step as u64;
@@ -321,17 +253,6 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
     });
     write_json(out, "BENCH_scenarios.json", &doc)?;
     Ok(doc)
-}
-
-/// Next deterministic `[WINDOWS_PER_SESSION, 28]` slice of the eval pool,
-/// wrapping at the end.
-fn session_slice(eval: &Dataset, cursor: &mut usize) -> Tensor {
-    let rows = eval.features.rows();
-    let start = *cursor % rows.saturating_sub(WINDOWS_PER_SESSION).max(1);
-    *cursor += WINDOWS_PER_SESSION;
-    eval.features
-        .slice_rows(start, (start + WINDOWS_PER_SESSION).min(rows))
-        .expect("eval slice in range")
 }
 
 #[cfg(test)]

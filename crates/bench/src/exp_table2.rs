@@ -3,8 +3,9 @@
 
 use crate::report::{pm, write_json, ReportError, Table};
 use crate::scale::Scale;
-use crate::scenario::{build_scenario, pretrain_base, run_pilote, run_pretrained, run_retrained};
+use crate::scenario::{build_scenario, pretrain_base, run_arm};
 use pilote_core::metrics::mean_std;
+use pilote_core::Method;
 use pilote_har_data::Activity;
 use serde_json::json;
 use std::path::Path;
@@ -33,16 +34,19 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<Vec<Table2Row>, Repor
 
         // Pre-trained: deterministic given the base, one round.
         let mut pre = base.model.clone_model();
-        let pre_run = run_pretrained(&mut pre, &base.scenario, n_new, seed ^ 0xbeef);
+        let (pre_run, _) =
+            run_arm(Method::Pretrained, &mut pre, &base.scenario, n_new, seed ^ 0xbeef);
 
         let mut retr_acc = Vec::with_capacity(scale.rounds);
         let mut pil_acc = Vec::with_capacity(scale.rounds);
         for round in 0..scale.rounds {
             let round_seed = seed + 1000 * (round as u64 + 1) + si as u64;
-            let mut m = base.model.clone_model();
-            retr_acc.push(run_retrained(&mut m, &base.scenario, n_new, round_seed).accuracy);
-            let mut m = base.model.clone_model();
-            pil_acc.push(run_pilote(&mut m, &base.scenario, n_new, round_seed).0.accuracy);
+            let accuracy = |method| {
+                let mut m = base.model.clone_model();
+                run_arm(method, &mut m, &base.scenario, n_new, round_seed).0.accuracy
+            };
+            retr_acc.push(accuracy(Method::Retrained));
+            pil_acc.push(accuracy(Method::Pilote));
             eprintln!(
                 "[table2]   round {}: re-trained {:.4}, pilote {:.4}",
                 round + 1,

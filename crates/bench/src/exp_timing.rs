@@ -8,7 +8,8 @@
 
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use crate::scenario::{build_scenario, pretrain_base, run_pilote};
+use crate::scenario::{build_scenario, pretrain_base, run_arm};
+use pilote_core::Method;
 use pilote_edge_sim::memory::{model_bytes, ValueWidth};
 use pilote_edge_sim::quantize::{Quantization, QuantizedMatrix};
 use pilote_edge_sim::{DeviceProfile, MemoryBudget};
@@ -45,7 +46,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<TimingResult, ReportE
     let n_new = scale.exemplars_per_class;
 
     let mut model = base.model.clone_model();
-    let (run, report) = run_pilote(&mut model, &base.scenario, n_new, seed ^ 0x42);
+    let (run, report) = run_arm(Method::Pilote, &mut model, &base.scenario, n_new, seed ^ 0x42);
     // A zero-epoch run has no per-epoch latency; report it as such rather
     // than clamping the divisor and printing a bogus 0-second epoch.
     let epochs = report.epochs.len();

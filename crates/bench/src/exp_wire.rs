@@ -28,7 +28,7 @@
 use crate::exp_faults::faulted_scenario;
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use crate::scenario::pretrain_base;
+use crate::scenario::{pretrain_base, session_slice};
 use pilote_edge_sim::{DeviceProfile, LinkModel, WirePrecision};
 use pilote_har_data::dataset::Dataset;
 use pilote_magneto::{Deployment, Fleet, FleetConfig, WireConfig, WireTotals};
@@ -94,13 +94,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<(), ReportError> {
     // --- cloud: pre-train once, package once --------------------------
     let (scenario, norm, _sim) = faulted_scenario(scale, seed);
     let mut base = pretrain_base(scenario, scale, seed);
-    let deployment = Deployment {
-        checkpoint: Checkpoint::capture(base.model.net_mut().layers_mut()),
-        support: base.model.support().clone(),
-        normalizer: norm,
-        config: base.model.config().clone(),
-        prototypes: None,
-    };
+    let deployment = Deployment::from_model(&mut base.model, norm);
     let old_test = base.scenario.old_test();
     let new_test = base.scenario.new_test();
 
@@ -262,7 +256,7 @@ fn run_config(
     let mut json_federated_bytes = 0u64;
     for round in 0..FEDERATED_ROUNDS {
         for user in 0..USERS {
-            let features = session_slice(eval, &mut cursor);
+            let features = session_slice(eval, &mut cursor, WINDOWS_PER_SESSION);
             fleet.serve_session(user, &features).expect("serve session");
         }
         for labeller in 0..LABELLING_USERS {
@@ -302,17 +296,6 @@ fn run_config(
         clock_seconds_sum: stats.devices.iter().map(|d| d.clock_seconds).sum(),
         json_federated_bytes,
     }
-}
-
-/// Next deterministic `[WINDOWS_PER_SESSION, 28]` slice of the eval pool,
-/// wrapping at the end.
-fn session_slice(eval: &Dataset, cursor: &mut usize) -> Tensor {
-    let rows = eval.features.rows();
-    let start = *cursor % rows.saturating_sub(WINDOWS_PER_SESSION).max(1);
-    *cursor += WINDOWS_PER_SESSION;
-    eval.features
-        .slice_rows(start, (start + WINDOWS_PER_SESSION).min(rows))
-        .expect("eval slice in range")
 }
 
 #[cfg(test)]

@@ -1,20 +1,25 @@
 //! Scenario construction and the three-model protocol of §6.1.3.
 //!
 //! Every experiment follows the same shape: pick one activity as the *new
-//! class*, pre-train on the remaining four, then update with one of the
-//! three strategies (pre-trained / re-trained / PILOTE) and evaluate on a
-//! held-out test set spanning all five activities. The pre-trained model
-//! is shared across strategies and rounds, exactly as in the paper
-//! ("the re-trained model and PILOTE in each scenario are based on the
-//! same pre-trained model").
+//! class*, pre-train on the remaining four, then update with one
+//! [`Method`] (pre-trained / re-trained / PILOTE, or a rival strategy) and
+//! evaluate on a held-out test set spanning all five activities. The
+//! pre-trained model is shared across methods and rounds, exactly as in
+//! the paper ("the re-trained model and PILOTE in each scenario are based
+//! on the same pre-trained model").
+//!
+//! The fleet benches share the rest of this module: the normalised
+//! five-activity corpus, the two-class pre-train of the class-incremental
+//! schedule, and the session slicer that feeds their serving phases.
 
 use crate::scale::Scale;
-use pilote_core::baselines::{pretrained_update, retrained_update};
 use pilote_core::pilote::TrainReport;
-use pilote_core::{Pilote, PiloteConfig, SelectionStrategy, SupportSet};
+use pilote_core::{Method, Pilote, PiloteConfig, SelectionStrategy, SupportSet};
 use pilote_har_data::dataset::generate_features;
-use pilote_har_data::{Activity, Dataset};
-use pilote_tensor::Rng64;
+use pilote_har_data::features::extract_batch;
+use pilote_har_data::preprocess::Normalizer;
+use pilote_har_data::{Activity, Dataset, Simulator};
+use pilote_tensor::{Rng64, Tensor, TensorError};
 use std::time::Instant;
 
 /// One incremental-learning scenario.
@@ -85,24 +90,27 @@ pub struct PretrainedBase {
 
 /// Pre-trains on the scenario's old classes (cloud phase).
 pub fn pretrain_base(scenario: Scenario, scale: &Scale, seed: u64) -> PretrainedBase {
+    let (model, report) = pretrain(&scenario.train_old, scale, seed);
+    PretrainedBase { scenario, model, report }
+}
+
+/// Cloud pre-training on `data`, leaving the model configured for edge
+/// updates.
+fn pretrain(data: &Dataset, scale: &Scale, seed: u64) -> (Pilote, TrainReport) {
     let mut cfg = PiloteConfig::paper(seed);
     cfg.max_epochs = scale.pretrain_epochs;
     cfg.pairs_per_sample = 8;
     // Cloud pre-training decays slowly enough to actually converge; the
     // edge updates below revert to the paper's halve-every-epoch schedule.
     cfg.lr_halve_every = 3;
-    let (mut model, report) = Pilote::pretrain(
-        cfg,
-        &scenario.train_old,
-        scale.exemplars_per_class,
-        SelectionStrategy::Herding,
-    )
-    .expect("pretrain");
+    let (mut model, report) =
+        Pilote::pretrain(cfg, data, scale.exemplars_per_class, SelectionStrategy::Herding)
+            .expect("pretrain");
     // Edge updates run under the edge budget, not the cloud budget.
     model.config_mut().max_epochs = scale.max_epochs;
     model.config_mut().pairs_per_sample = 4;
     model.config_mut().lr_halve_every = 1;
-    PretrainedBase { scenario, model, report }
+    (model, report)
 }
 
 /// Re-selects the base model's support set at a different per-class budget
@@ -129,7 +137,7 @@ pub fn with_support_budget(
     model
 }
 
-/// Metrics of one strategy run on one scenario.
+/// Metrics of one arm run on one scenario.
 #[derive(Debug, Clone, Copy)]
 pub struct ModelRun {
     /// Accuracy over the full five-class test set.
@@ -138,24 +146,29 @@ pub struct ModelRun {
     pub old_accuracy: f32,
     /// Accuracy restricted to the new class.
     pub new_accuracy: f32,
-    /// Wall-clock seconds of the update (0 for the pre-trained strategy).
+    /// Wall-clock seconds of the update.
     pub seconds: f64,
     /// Training epochs consumed.
     pub epochs: usize,
 }
 
-fn evaluate(model: &mut Pilote, scenario: &Scenario) -> ModelRun {
+/// Scores a classifier on the scenario's test set, its old classes and
+/// its new class. `accuracy` is the classifier's accuracy on a dataset.
+pub(crate) fn evaluate(
+    scenario: &Scenario,
+    mut accuracy: impl FnMut(&Dataset) -> Result<f32, TensorError>,
+) -> ModelRun {
     ModelRun {
-        accuracy: model.accuracy(&scenario.test).expect("test eval"),
-        old_accuracy: model.accuracy(&scenario.old_test()).expect("old eval"),
-        new_accuracy: model.accuracy(&scenario.new_test()).expect("new eval"),
+        accuracy: accuracy(&scenario.test).expect("test eval"),
+        old_accuracy: accuracy(&scenario.old_test()).expect("old eval"),
+        new_accuracy: accuracy(&scenario.new_test()).expect("new eval"),
         seconds: 0.0,
         epochs: 0,
     }
 }
 
 /// Draws the round's new-class sample set from the pool.
-fn draw_new_data(scenario: &Scenario, n: usize, seed: u64) -> Dataset {
+pub(crate) fn draw_new_data(scenario: &Scenario, n: usize, seed: u64) -> Dataset {
     let mut rng = Rng64::new(seed ^ 0xd21a);
     scenario
         .new_pool
@@ -163,42 +176,11 @@ fn draw_new_data(scenario: &Scenario, n: usize, seed: u64) -> Dataset {
         .expect("new-class sample")
 }
 
-/// Pre-trained strategy: frozen embedding, new prototype only.
-pub fn run_pretrained(
-    model: &mut Pilote,
-    scenario: &Scenario,
-    new_exemplars: usize,
-    round_seed: u64,
-) -> ModelRun {
-    model.reseed(round_seed);
-    let new_data = draw_new_data(scenario, new_exemplars, round_seed);
-    let start = Instant::now();
-    pretrained_update(model, &new_data, new_exemplars).expect("pretrained update");
-    let mut run = evaluate(model, scenario);
-    run.seconds = start.elapsed().as_secs_f64();
-    run
-}
-
-/// Re-trained strategy: contrastive fine-tune on `D₀ ∪ Dₙ`, no
-/// distillation.
-pub fn run_retrained(
-    model: &mut Pilote,
-    scenario: &Scenario,
-    new_exemplars: usize,
-    round_seed: u64,
-) -> ModelRun {
-    model.reseed(round_seed);
-    let new_data = draw_new_data(scenario, new_exemplars, round_seed);
-    let start = Instant::now();
-    let report = retrained_update(model, &new_data, new_exemplars).expect("retrained update");
-    let mut run = evaluate(model, scenario);
-    run.seconds = start.elapsed().as_secs_f64();
-    run.epochs = report.epochs.len();
-    run
-}
-
-/// PILOTE: joint distillation + contrastive update.
-pub fn run_pilote(
+/// Runs one arm of the protocol: reseeds `model` with `round_seed`, draws
+/// `new_exemplars` new-class samples, updates the model with `method`
+/// (timed) and evaluates it.
+pub fn run_arm(
+    method: Method,
     model: &mut Pilote,
     scenario: &Scenario,
     new_exemplars: usize,
@@ -207,11 +189,53 @@ pub fn run_pilote(
     model.reseed(round_seed);
     let new_data = draw_new_data(scenario, new_exemplars, round_seed);
     let start = Instant::now();
-    let report = model.learn_new_class(&new_data, new_exemplars).expect("pilote update");
-    let mut run = evaluate(model, scenario);
-    run.seconds = start.elapsed().as_secs_f64();
-    run.epochs = report.epochs.len();
-    (run, report)
+    let report = method
+        .update(model, &new_data, new_exemplars)
+        .unwrap_or_else(|e| panic!("{} update: {e}", method.name()));
+    let seconds = start.elapsed().as_secs_f64();
+    let run = evaluate(scenario, |data| model.accuracy(data));
+    (ModelRun { seconds, epochs: report.epochs.len(), ..run }, report)
+}
+
+/// Activities the class-incremental fleet schedules pre-train on; the
+/// other three arrive as increments.
+pub(crate) const BASE_ACTIVITIES: [Activity; 2] = [Activity::Still, Activity::Walk];
+
+/// The class-incremental schedule, learned one activity at a time.
+pub(crate) const INCREMENTS: [Activity; 3] = [Activity::Run, Activity::Drive, Activity::EScooter];
+
+/// Builds the five-activity corpus, keeping the fitted normaliser for the
+/// deployment package, and splits a held-out test set. Returns
+/// `(train, test, normaliser)`.
+pub(crate) fn corpus(scale: &Scale, seed: u64) -> (Dataset, Dataset, Normalizer) {
+    let mut sim = Simulator::with_seed(seed);
+    let counts: Vec<(Activity, usize)> =
+        Activity::ALL.iter().map(|&a| (a, scale.per_activity)).collect();
+    let raw = sim.raw_dataset(&counts);
+    let features = extract_batch(&raw).expect("feature extraction");
+    let (norm, features) = Normalizer::fit_transform(&features).expect("normalise");
+    let data = Dataset::new(features, raw.labels).expect("dataset");
+    let mut rng = Rng64::new(seed ^ 0x5011);
+    let (train, test) = data.stratified_split(scale.test_fraction(), &mut rng).expect("split");
+    (train, test, norm)
+}
+
+/// Pre-trains on [`BASE_ACTIVITIES`] only: the class-incremental
+/// schedule needs three increments of headroom.
+pub(crate) fn pretrain_two_class(train: &Dataset, scale: &Scale, seed: u64) -> Pilote {
+    let base_labels: Vec<usize> = BASE_ACTIVITIES.iter().map(|a| a.label()).collect();
+    pretrain(&train.filter_classes(&base_labels).expect("base classes"), scale, seed).0
+}
+
+/// Next deterministic `[windows, 28]` slice of the eval pool, wrapping at
+/// the end.
+pub(crate) fn session_slice(eval: &Dataset, cursor: &mut usize, windows: usize) -> Tensor {
+    let rows = eval.features.rows();
+    let start = *cursor % rows.saturating_sub(windows).max(1);
+    *cursor += windows;
+    eval.features
+        .slice_rows(start, (start + windows).min(rows))
+        .expect("eval slice in range")
 }
 
 #[cfg(test)]
@@ -234,9 +258,9 @@ mod tests {
         let scenario = build_scenario(Activity::Run, &scale, 2);
         let base = pretrain_base(scenario, &scale, 2);
         let mut pre = base.model.clone_model();
-        let run_pre = run_pretrained(&mut pre, &base.scenario, 30, 7);
+        let (run_pre, _) = run_arm(Method::Pretrained, &mut pre, &base.scenario, 30, 7);
         let mut pil = base.model.clone_model();
-        let (run_pil, _) = run_pilote(&mut pil, &base.scenario, 30, 7);
+        let (run_pil, _) = run_arm(Method::Pilote, &mut pil, &base.scenario, 30, 7);
         for r in [run_pre, run_pil] {
             assert!((0.0..=1.0).contains(&r.accuracy));
             assert!((0.0..=1.0).contains(&r.new_accuracy));

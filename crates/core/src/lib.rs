@@ -30,10 +30,11 @@
 //!   scheme of §5.2.
 //! * [`pilote`] — the incremental learner (pre-train on the cloud, learn
 //!   new classes on the edge).
-//! * [`baselines`] — the paper's two comparison points (*pre-trained*,
-//!   *re-trained*).
-//! * [`strategies`] — additional continual-learning strategies for the
-//!   ablation benches (naive fine-tune, replay, GDumb, EWC, LwF).
+//! * [`learner`] — [`Method`], the one list of in-place update rules:
+//!   PILOTE, the paper's *pre-trained* and *re-trained* comparison points,
+//!   and the naive fine-tune, GDumb and EWC strategies.
+//! * [`strategies`] — the GDumb and EWC bodies, and the LwF softmax-head
+//!   classifier for the A4 ablation.
 //! * [`metrics`] — accuracy, confusion matrices, forgetting measures.
 //! * [`projection`] — PCA projection of embedding spaces (Fig. 5) and
 //!   cluster separation scores.
@@ -44,11 +45,11 @@
 //!   continual-learning metrics derived from it (average accuracy,
 //!   forgetting curves, backward/forward transfer).
 
-pub mod baselines;
 pub mod config;
 pub mod embedding;
 pub mod exemplar;
 pub mod knn;
+pub mod learner;
 pub mod metrics;
 pub mod ncm;
 pub mod pairs;
@@ -63,6 +64,7 @@ pub use embedding::EmbeddingNet;
 pub use exemplar::{select_exemplars, SelectionStrategy};
 pub use metrics::{accuracy, ConfusionMatrix};
 pub use knn::KnnClassifier;
+pub use learner::Method;
 pub use ncm::NcmClassifier;
 pub use pilote::{Pilote, SupportSet, TrainReport, UpdateOutcome, UpdateStage};
 pub use quality::{

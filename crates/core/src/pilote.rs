@@ -57,13 +57,28 @@ impl SupportSet {
         span.annotate("classes", data.classes().len() as f64);
         span.annotate("per_class", m as f64);
         let mut out = SupportSet::new();
+        out.put_selected(data, net, m, strategy, rng)?;
+        Ok(out)
+    }
+
+    /// Selects up to `m` exemplars of every class in `data` under the
+    /// current embedding and stores them, replacing whatever those classes
+    /// held before.
+    pub(crate) fn put_selected(
+        &mut self,
+        data: &Dataset,
+        net: &mut EmbeddingNet,
+        m: usize,
+        strategy: SelectionStrategy,
+        rng: &mut Rng64,
+    ) -> Result<(), TensorError> {
         for label in data.classes() {
             let class = data.filter_classes(&[label])?;
             let embeddings = net.embed(&class.features);
             let chosen = select_exemplars(&embeddings, m, strategy, rng)?;
-            out.put_class(label, class.features.select_rows(&chosen)?);
+            self.put_class(label, class.features.select_rows(&chosen)?);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Inserts or replaces the exemplars of a class (rows must already be
@@ -444,8 +459,8 @@ impl Pilote {
         Ok((model, report))
     }
 
-    /// Builds a model directly from parts (used by the baselines to share
-    /// one pre-trained starting point across comparisons).
+    /// Builds a model directly from parts (used by the cloud to compute
+    /// shipped prototypes through a device-equivalent network).
     pub fn from_parts(cfg: PiloteConfig, net: EmbeddingNet, support: SupportSet, rng: Rng64) -> Result<Pilote, TensorError> {
         let mut model =
             Pilote { cfg, net, support, classifier: NcmClassifier::new(0), rng, generation: 0 };
@@ -498,11 +513,8 @@ impl Pilote {
     ) -> Result<UpdateOutcome, TensorError> {
         let span = pilote_obs::span("core.update");
         span.annotate("new_samples", new_data.len() as f64);
-        let d0 = self.support.to_dataset()?;
-        let combined = d0.concat(new_data)?;
-        let mut is_new = vec![false; d0.len()];
-        is_new.extend(std::iter::repeat_n(true, new_data.len()));
-        let distill_rows: Vec<usize> = (0..d0.len()).collect();
+        let (combined, is_new) = self.support_union(new_data)?;
+        let distill_rows: Vec<usize> = (0..self.support.len()).collect();
 
         let mut teacher = self.net.clone_frozen();
         let alpha = self.cfg.alpha;
@@ -531,17 +543,13 @@ impl Pilote {
         // as in §6.4) and refresh prototypes under the updated embedding.
         {
             let _exemplars = pilote_obs::span("core.update.exemplars");
-            for label in new_data.classes() {
-                let class = new_data.filter_classes(&[label])?;
-                let embeddings = self.net.embed(&class.features);
-                let chosen = select_exemplars(
-                    &embeddings,
-                    new_exemplar_budget,
-                    SelectionStrategy::Random,
-                    &mut self.rng,
-                )?;
-                self.support.put_class(label, class.features.select_rows(&chosen)?);
-            }
+            self.support.put_selected(
+                new_data,
+                &mut self.net,
+                new_exemplar_budget,
+                SelectionStrategy::Random,
+                &mut self.rng,
+            )?;
         }
         if kill == Some(UpdateStage::ExemplarsStored) {
             return Ok(UpdateOutcome::Interrupted(UpdateStage::ExemplarsStored));
@@ -551,6 +559,41 @@ impl Pilote {
             self.refresh_prototypes()?;
         }
         Ok(UpdateOutcome::Completed(report))
+    }
+
+    /// `D₀ ∪ Dₙ`: the support set followed by `new_data`, with `is_new`
+    /// marking the `Dₙ` rows.
+    pub(crate) fn support_union(
+        &self,
+        new_data: &Dataset,
+    ) -> Result<(Dataset, Vec<bool>), TensorError> {
+        let d0 = self.support.to_dataset()?;
+        let mut is_new = vec![false; d0.len()];
+        is_new.extend(std::iter::repeat_n(true, new_data.len()));
+        Ok((d0.concat(new_data)?, is_new))
+    }
+
+    /// Shared update tail: keeps up to `budget` random exemplars of each
+    /// class in `new_data` (§6.4), drawn from `rng`, then refreshes every
+    /// prototype.
+    pub(crate) fn integrate(
+        &mut self,
+        new_data: &Dataset,
+        budget: usize,
+        rng: &mut Rng64,
+    ) -> Result<(), TensorError> {
+        self.support.put_selected(new_data, &mut self.net, budget, SelectionStrategy::Random, rng)?;
+        self.refresh_prototypes()
+    }
+
+    /// Takes over `other`'s network, support set and classifier — a
+    /// learner retrained from scratch — keeping this model's configuration
+    /// and RNG stream and bumping its generation.
+    pub(crate) fn adopt_learned(&mut self, other: Pilote) {
+        self.net = other.net;
+        self.support = other.support;
+        self.classifier = other.classifier;
+        self.generation = self.generation.wrapping_add(1);
     }
 
     /// Recomputes every class prototype from the support set under the
@@ -644,6 +687,11 @@ impl Pilote {
     }
 
     /// The embedding network.
+    pub(crate) fn net(&self) -> &EmbeddingNet {
+        &self.net
+    }
+
+    /// Mutable embedding network.
     pub fn net_mut(&mut self) -> &mut EmbeddingNet {
         &mut self.net
     }

@@ -536,7 +536,7 @@ impl QualityMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines;
+    use crate::learner::Method;
     use crate::config::PiloteConfig;
     use crate::exemplar::SelectionStrategy;
     use pilote_har_data::dataset::generate_features;
@@ -630,7 +630,7 @@ mod tests {
     }
 
     #[test]
-    fn retrained_update_alerts_pilote_does_not() {
+    fn retrained_alerts_pilote_does_not() {
         // Seed chosen so the tiny fixture separates the two strategies
         // cleanly: Re-trained forgets past the 10-pt threshold, PILOTE
         // stays well under it.
@@ -654,7 +654,7 @@ mod tests {
         let mut retrained_monitor =
             QualityMonitor::new(probe, &old_labels(), Default::default());
         retrained_monitor.observe(&mut retrained).unwrap().expect("baseline");
-        baselines::retrained_update(&mut retrained, &new, 15).unwrap();
+        Method::Retrained.update(&mut retrained, &new, 15).unwrap();
         let retrained_report =
             retrained_monitor.observe(&mut retrained).unwrap().expect("post-update sample");
         assert!(

@@ -65,6 +65,19 @@ impl std::fmt::Display for PackageError {
 impl std::error::Error for PackageError {}
 
 impl Deployment {
+    /// Packages `model` as it stands: its parameters, support set and
+    /// configuration, with the corpus `normalizer`. No prototypes ship;
+    /// the device recomputes them from the support set.
+    pub fn from_model(model: &mut Pilote, normalizer: Normalizer) -> Deployment {
+        Deployment {
+            checkpoint: Checkpoint::capture(model.net_mut().layers_mut()),
+            support: model.support().clone(),
+            normalizer,
+            config: model.config().clone(),
+            prototypes: None,
+        }
+    }
+
     /// Exact wire size of the deployment payload in bytes: the binary
     /// f32 encoding of `docs/WIRE.md` ([`crate::wire::encode_deployment`]
     /// at [`pilote_edge_sim::WirePrecision::F32`]).
@@ -292,7 +305,7 @@ impl CloudServer {
             exemplars_per_class,
             SelectionStrategy::Herding,
         )?;
-        let checkpoint = Checkpoint::capture(model.net_mut().layers_mut());
+        let mut deployment = Deployment::from_model(&mut model, self.normalizer.clone());
         // Compute the shipped prototypes through a device-equivalent net:
         // a fresh network with the checkpoint restored, exactly as the
         // edge install path builds it. The checkpoint carries parameters
@@ -304,20 +317,14 @@ impl CloudServer {
         // quantise the prototype section end-to-end.
         let mut rng = pilote_tensor::Rng64::new(self.config.seed ^ 0xed6e);
         let mut net = pilote_core::EmbeddingNet::new(self.config.net.clone(), &mut rng);
-        checkpoint.restore(net.layers_mut()).map_err(|_| TensorError::Empty {
+        deployment.checkpoint.restore(net.layers_mut()).map_err(|_| TensorError::Empty {
             op: "CloudServer::pretrain_and_package (restore into shadow net)",
         })?;
         let shadow = Pilote::from_parts(self.config.clone(), net, model.support().clone(), rng)?;
-        let deployment = Deployment {
-            checkpoint,
-            support: model.support().clone(),
-            normalizer: self.normalizer.clone(),
-            config: self.config.clone(),
-            prototypes: Some(ShippedPrototypes {
-                labels: shadow.classifier().labels().to_vec(),
-                matrix: shadow.classifier().prototype_matrix().clone(),
-            }),
-        };
+        deployment.prototypes = Some(ShippedPrototypes {
+            labels: shadow.classifier().labels().to_vec(),
+            matrix: shadow.classifier().prototype_matrix().clone(),
+        });
         Ok((deployment, report))
     }
 }

@@ -55,7 +55,7 @@ fn main() {
         let pil_acc = pilote.accuracy(&test).expect("eval");
 
         let mut retr = base.clone_model();
-        retrained_update(&mut retr, &new_data, n).expect("retrained");
+        Method::Retrained.update(&mut retr, &new_data, n).expect("retrained");
         let ret_acc = retr.accuracy(&test).expect("eval");
 
         println!("{n:>12} {pil_acc:>10.3} {ret_acc:>10.3}");

@@ -61,7 +61,7 @@ fn main() {
         let old_ret = eval(&mut retrained, &test, &known);
 
         pilote.learn_new_class(&new_data, 80).expect("pilote update");
-        retrained_update(&mut retrained, &new_data, 80).expect("retrained update");
+        Method::Retrained.update(&mut retrained, &new_data, 80).expect("retrained update");
 
         known.push(new_label);
         let pil_old_after = eval(&mut pilote, &test, &known[..known.len() - 1]);

@@ -41,6 +41,10 @@
 #  15. the index gate: `repro index` over the committed results/ BENCH
 #      files must parse every one, resolve every headline metric, and
 #      reproduce the committed BENCH_index.json byte-for-byte
+#  16. the A4 gate (EXPERIMENTS.md): `repro ablate-strategies --quick` run
+#      twice plus once at PILOTE_THREADS=4, ablate_strategies.json
+#      byte-compared; its rows must be exactly pilote, naive-finetune,
+#      retrained, gdumb, ewc, lwf in that order, every accuracy in [0, 1]
 #
 # Usage: ./scripts/ci.sh   (from anywhere; cd's to the repo root)
 
@@ -321,5 +325,22 @@ for f in results/BENCH_*.json; do
 done
 repro index --out "$idx_dir"
 cmp "$idx_dir/BENCH_index.json" results/BENCH_index.json
+
+# --- A4 gate (EXPERIMENTS.md) ----------------------------------------------
+
+determinism_gate a4 "ablate-strategies --quick" ablate_strategies.json
+
+step "ablate-strategies: one row per arm, in order, accuracies in [0, 1]"
+python3 - "$obs_dir/a41" << 'EOF'
+import json, sys
+rows = json.load(open(f"{sys.argv[1]}/ablate_strategies.json"))
+names = [r["strategy"] for r in rows]
+want = ["pilote", "naive-finetune", "retrained", "gdumb", "ewc", "lwf"]
+assert names == want, f"A4 rows must be {want}, got {names}"
+for r in rows:
+    for key in ("accuracy", "old_accuracy", "new_accuracy"):
+        assert 0.0 <= r[key] <= 1.0, f"{r['strategy']}: {key} out of [0, 1]: {r}"
+print(f"A4 gate: {len(rows)} arms, pilote accuracy {rows[0]['accuracy']:.4f}")
+EOF
 
 printf '\nci.sh: all gates passed\n'

@@ -32,7 +32,9 @@ def table(headers, rows):
 def fill(text, marker, content):
     if content is None:
         return text
-    pattern = re.compile(rf"(<!-- {marker} -->)(.*?)(?=\n\n|\Z)", re.S)
+    # Markers count only at the start of a line, so prose that names one
+    # (the provenance section) is left alone.
+    pattern = re.compile(rf"^(<!-- {marker} -->)(.*?)(?=\n\n|\Z)", re.S | re.M)
     return pattern.sub(lambda m: m.group(1) + "\n" + content, text)
 
 

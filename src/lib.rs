@@ -11,7 +11,7 @@
 //! | [`tensor`] | dense f32 tensors, RNG, linear algebra |
 //! | [`nn`] | layers, losses, optimizers, training utilities |
 //! | [`har_data`] | synthetic sensor simulator, preprocessing, features |
-//! | [`core`] | the PILOTE learner, baselines, strategies, metrics |
+//! | [`core`] | the PILOTE learner, its update methods (baselines, strategies), metrics |
 //! | [`edge_sim`] | device profiles, memory accounting, quantisation, fault injection |
 //! | [`magneto`] | cloud pre-training, deployments, the resilient edge device, federation, fleet orchestration |
 //!
@@ -59,14 +59,12 @@ pub use pilote_tensor as tensor;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use pilote_core::baselines::{pretrained_update, retrained_update};
     pub use pilote_core::pairs::PairScheme;
-    pub use pilote_core::strategies::{run_strategy, Strategy};
     pub use pilote_core::{
-        accuracy, select_exemplars, AccuracyMatrix, ConfusionMatrix, EmbeddingNet, NcmClassifier,
-        NetConfig, AdaptiveThresholds, Pilote, PiloteConfig, QualityMonitor, QualityReport,
-        QualityThresholds, SelectionStrategy, SessionRecord, SessionSummary, SupportSet,
-        TaskGroup,
+        accuracy, select_exemplars, AccuracyMatrix, ConfusionMatrix, EmbeddingNet, Method,
+        NcmClassifier, NetConfig, AdaptiveThresholds, Pilote, PiloteConfig, QualityMonitor,
+        QualityReport, QualityThresholds, SelectionStrategy, SessionRecord, SessionSummary,
+        SupportSet, TaskGroup,
     };
     pub use pilote_edge_sim::{
         CrashPlan, DeviceProfile, FaultPlan, FlakyLink, LatencyMeter, LinkFaultRates, LinkModel,

@@ -85,7 +85,7 @@ fn pilote_retains_old_classes_at_least_as_well_as_retrained() {
         pilote_old_sum += p.accuracy(&old_test).expect("eval");
 
         let mut r = base.clone_model();
-        retrained_update(&mut r, &new_data, 20).expect("retrained");
+        Method::Retrained.update(&mut r, &new_data, 20).expect("retrained");
         retrained_old_sum += r.accuracy(&old_test).expect("eval");
     }
     assert!(
@@ -136,7 +136,7 @@ fn pretrained_baseline_never_moves_the_network() {
     let before = model.embed(&probe);
     let mut rng = Rng64::new(77);
     let new_data = new_pool.sample_class(Activity::Run.label(), 20, &mut rng).expect("sample");
-    pretrained_update(&mut model, &new_data, 20).expect("update");
+    Method::Pretrained.update(&mut model, &new_data, 20).expect("update");
     let after = model.embed(&probe);
     assert!(before.max_abs_diff(&after).unwrap() < 1e-6);
     assert_eq!(model.classifier().n_classes(), 5);
