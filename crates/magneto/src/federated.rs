@@ -6,9 +6,14 @@
 //! 2017), never sensor data — consistent with MAGNETO's privacy stance.
 //! Prototype sharing works the same way: class means in embedding space
 //! are aggregated, not raw exemplars.
+//!
+//! This module is the aggregation rule alone: [`federated_average`] and
+//! its typed [`FederatedError`]s. Rounds — who contributes, the wire
+//! payloads and link charges, the install — are run by
+//! [`crate::fleet::Fleet::federated_round`], one body for fleets with and
+//! without the self-healing policy; a round of two devices is a
+//! two-device fleet.
 
-use crate::edge::EdgeDevice;
-use crate::events::{EventKind, ExclusionReason};
 use pilote_nn::Checkpoint;
 use pilote_tensor::{Tensor, TensorError};
 
@@ -128,74 +133,6 @@ pub fn federated_average(
         }
     }
     Ok(Checkpoint { version: first.version, shapes: first.shapes.clone(), params: averaged })
-}
-
-/// Orchestrates FedAvg rounds across edge devices.
-#[derive(Debug, Default)]
-pub struct FederatedCoordinator {
-    rounds_completed: usize,
-}
-
-impl FederatedCoordinator {
-    /// New coordinator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rounds applied so far.
-    pub fn rounds(&self) -> usize {
-        self.rounds_completed
-    }
-
-    /// Counts one completed round that an external orchestrator drove
-    /// itself (the staged fleet-policy path collects contributions,
-    /// averages and installs stage by stage — see `crate::policy`).
-    pub(crate) fn note_round(&mut self) {
-        self.rounds_completed += 1;
-    }
-
-    /// Runs one FedAvg round: collects every device's parameters (weighted
-    /// by its support-set size), averages, and installs the average back
-    /// on every device, refreshing prototypes under the new weights.
-    ///
-    /// Devices with an **empty** support set are excluded from the average
-    /// — a zero-sample model must not out-vote devices that actually hold
-    /// data (the old `len().max(1)` gave it the same weight as a
-    /// one-sample device). Excluded devices still receive the merged model
-    /// and record the exclusion as [`EventKind::FederatedExcluded`] in
-    /// their [`crate::events::EventLog`].
-    ///
-    /// No sensor data, exemplar, or feature leaves any device.
-    pub fn run_round(&mut self, devices: &mut [&mut EdgeDevice]) -> Result<(), crate::edge::EdgeError> {
-        if devices.is_empty() {
-            return Err(FederatedError::NoContributions.into());
-        }
-        let mut contributions = Vec::with_capacity(devices.len());
-        let mut contributed = Vec::with_capacity(devices.len());
-        for device in devices.iter_mut() {
-            let weight = device.model_mut().support().len();
-            contributed.push(weight > 0);
-            if weight > 0 {
-                let ckpt = Checkpoint::capture(device.model_mut().net_mut().layers_mut());
-                contributions.push((ckpt, weight));
-            }
-        }
-        let averaged = federated_average(&contributions)?;
-        let participants = contributions.len();
-        for (device, contributed) in devices.iter_mut().zip(contributed) {
-            averaged.restore(device.model_mut().net_mut().layers_mut())?;
-            device.model_mut().refresh_prototypes()?;
-            if !contributed {
-                device.record_event(EventKind::FederatedExcluded {
-                    participants,
-                    reason: ExclusionReason::ZeroSupport,
-                });
-            }
-            device.note_federated_round(participants);
-        }
-        self.rounds_completed += 1;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

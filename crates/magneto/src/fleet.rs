@@ -13,13 +13,22 @@
 //! - **Serving** chunks each session through [`EdgeDevice::serve_batch`],
 //!   which is bitwise identical to per-window classification.
 //! - **Federated rounds** fire on a session-count schedule
-//!   ([`FleetConfig::federated_every`]), charging each participant's link
-//!   with the parameter upload/download before averaging. Payloads ship
-//!   through the binary wire codec ([`crate::wire`], `docs/WIRE.md`) at
-//!   the fleet's [`FleetConfig::wire`] setting — delta-encoded against
-//!   the last committed broadcast when both ends are current, with a
-//!   typed full-payload fallback for stale members — and what devices
-//!   install is always the **decoded** payload.
+//!   ([`FleetConfig::federated_every`]) or on demand, through one
+//!   [`Fleet::federated_round`] body: a fleet without a policy is the
+//!   policied fleet with nothing to act on — nobody is held out, and its
+//!   single install wave cannot halt. The merge is averaged and encoded
+//!   before any device is touched, so a failed round leaves no trace;
+//!   then each participant's link is charged with its upload and every
+//!   receiver's with its download. Payloads ship through the binary wire
+//!   codec ([`crate::wire`], `docs/WIRE.md`) at the fleet's
+//!   [`FleetConfig::wire`] setting — delta-encoded against the last
+//!   committed broadcast when both ends are current, with a typed
+//!   full-payload fallback for stale members — and what devices install
+//!   is always the **decoded** payload.
+//! - **Installs** — federated merges and [`Fleet::rollout_deployment`]
+//!   packages — go through one staged-install helper: one wave of every
+//!   device without a policy, canary → cohort → fleet with
+//!   halt-and-restore under one ([`crate::policy`], `docs/POLICY.md`).
 //!
 //! At scale (10k+ devices — see `docs/SCALING.md`) the roster is
 //! **sharded** across worker threads: [`Fleet::deploy`] installs
@@ -36,7 +45,7 @@
 use crate::cloud::{Deployment, PackageError, ScenarioRollup, TelemetryRollup};
 use crate::edge::{EdgeDevice, EdgeError, InferenceOutcome, UpdateStatus};
 use crate::events::{EventKind, ExclusionReason, DEFAULT_EVENT_CAPACITY};
-use crate::federated::{federated_average, FederatedCoordinator};
+use crate::federated::federated_average;
 use crate::policy::{FleetPolicy, PolicyConfig, RepairAction, RolloutStage};
 use crate::wire::{self, CodecError, WireConfig};
 use pilote_core::{AdaptiveThresholds, QualityThresholds, TaskGroup};
@@ -98,7 +107,7 @@ impl Default for FleetConfig {
 const STALE_ROUND: u64 = u64::MAX;
 
 /// One device slot: the device plus the link it talks to the cloud (and
-/// the federated coordinator) over.
+/// the federated aggregator) over.
 struct FleetMember {
     device: EdgeDevice,
     link: LinkModel,
@@ -115,10 +124,11 @@ struct FleetMember {
 /// interleaves local incremental updates with federated rounds.
 pub struct Fleet {
     members: Vec<FleetMember>,
-    coordinator: FederatedCoordinator,
     config: FleetConfig,
     sessions_served: u64,
     windows_served: u64,
+    /// Federated rounds completed (a halted round does not count).
+    rounds_completed: usize,
     /// Self-healing control loop ([`crate::policy`]), armed via
     /// [`Fleet::enable_policy`]. When present, federated rounds and
     /// deployment rollouts run staged (canary → cohort → fleet) with
@@ -379,28 +389,100 @@ fn map_in_bands<T: Send, R: Send>(
         .collect()
 }
 
-/// One policy control step: inspects every device's not-yet-inspected
-/// quality reports (local update samples, prior install samples) in
-/// device-index order and escalates the repair ladder on any new
-/// triggering alert.
-fn control_step(
+/// How a [`staged_install`] ended.
+struct Installed {
+    /// Devices of every completed wave, in install order. A halted wave's
+    /// devices are restored and not listed.
+    kept: Vec<usize>,
+    /// Whether a wave halted, ending the install early.
+    halted: bool,
+}
+
+/// Installs on the fleet in waves through `install(member)`; each wave
+/// installs on every member, then samples every member's quality
+/// monitor.
+///
+/// Without a policy there is one wave of every device. It cannot halt, so
+/// nothing is snapshotted. With a policy the waves are canary → cohort →
+/// fleet over the devices it [`FleetPolicy::receives`]: each device is
+/// snapshotted before its install, and a wave whose triggering-alert rate
+/// the policy halts on ([`FleetPolicy::stage_completed`]) is restored
+/// bitwise. Its devices log `RolloutHalted` and have their post-install
+/// reports marked seen — they are victims of the install, not suspects.
+/// Earlier waves keep the install.
+fn staged_install(
     members: &mut [FleetMember],
+    mut policy: Option<&mut FleetPolicy>,
+    mut install: impl FnMut(&mut FleetMember) -> Result<(), EdgeError>,
+) -> Result<Installed, EdgeError> {
+    let waves: Vec<(Option<RolloutStage>, Vec<usize>)> = match policy.as_deref() {
+        None => vec![(None, (0..members.len()).collect())],
+        Some(policy) => RolloutStage::ALL
+            .into_iter()
+            .map(|stage| {
+                let stage_members = policy.plan().stage(stage).iter().copied();
+                (Some(stage), stage_members.filter(|&i| policy.receives(i)).collect())
+            })
+            .collect(),
+    };
+    let mut kept = Vec::new();
+    for (stage, indices) in waves {
+        let mut snapshots = Vec::new();
+        for &i in &indices {
+            if stage.is_some() {
+                snapshots.push(members[i].device.policy_snapshot());
+            }
+            install(&mut members[i])?;
+        }
+        let mut alerts = 0u64;
+        for &i in &indices {
+            let device = &mut members[i].device;
+            let before = device.quality_reports().len();
+            device.sample_quality()?;
+            alerts += device.quality_reports()[before..]
+                .iter()
+                .filter(|r| FleetPolicy::triggering_alert(r).is_some())
+                .count() as u64;
+        }
+        if let (Some(stage), Some(policy)) = (stage, policy.as_deref_mut()) {
+            if policy.stage_completed(stage, indices.len(), alerts) {
+                for (&i, snapshot) in indices.iter().zip(snapshots) {
+                    let device = &mut members[i].device;
+                    device.policy_restore(snapshot)?;
+                    device.record_event(EventKind::RolloutHalted {
+                        stage: stage.name().to_string(),
+                        alerts,
+                        stage_size: indices.len(),
+                    });
+                    policy.mark_seen(i, device.quality_reports().len());
+                }
+                return Ok(Installed { kept, halted: true });
+            }
+        }
+        kept.extend(indices);
+    }
+    Ok(Installed { kept, halted: false })
+}
+
+/// Judges a device's not-yet-inspected quality reports (local update
+/// samples, prior install samples), marks them seen, and escalates the
+/// repair ladder on the first that triggers.
+fn judge_and_repair(
+    member: &mut FleetMember,
     state: &mut PolicyState,
+    index: usize,
     totals: &mut WireTotals,
 ) -> Result<(), EdgeError> {
-    for (index, member) in members.iter_mut().enumerate() {
-        let reports = member.device.quality_reports();
-        let baseline = reports.first().map(|r| r.old_class_accuracy);
-        let trigger = state
-            .policy
-            .unseen_reports(index, reports)
-            .iter()
-            .find_map(|r| state.policy.judge(r, baseline));
-        let seen = member.device.quality_reports().len();
-        state.policy.mark_seen(index, seen);
-        if let Some(rule) = trigger {
-            apply_repair(member, state, index, &rule, totals)?;
-        }
+    let reports = member.device.quality_reports();
+    let baseline = reports.first().map(|r| r.old_class_accuracy);
+    let trigger = state
+        .policy
+        .unseen_reports(index, reports)
+        .iter()
+        .find_map(|r| state.policy.judge(r, baseline));
+    state.policy.mark_seen(index, reports.len());
+    if let Some(rule) = trigger {
+        apply_repair(member, state, index, &rule, totals)?;
     }
     Ok(())
 }
@@ -477,10 +559,10 @@ impl Fleet {
         let deploy_bytes = wire * members.len() as u64;
         Ok(Fleet {
             members,
-            coordinator: FederatedCoordinator::new(),
             config,
             sessions_served: 0,
             windows_served: 0,
+            rounds_completed: 0,
             policy: None,
             round: 0,
             base: Some(package.checkpoint),
@@ -516,7 +598,7 @@ impl Fleet {
 
     /// Federated rounds completed so far.
     pub fn federated_rounds(&self) -> usize {
-        self.coordinator.rounds()
+        self.rounds_completed
     }
 
     /// Committed broadcast round — the generation delta payloads
@@ -682,11 +764,28 @@ impl Fleet {
         Ok(None)
     }
 
-    /// Runs one federated round across the whole fleet: every device with
-    /// a non-empty support set uploads its parameters over its link and
-    /// downloads the merged model back (both transfers advance that
-    /// device's virtual clock); zero-support devices skip the upload but
-    /// still receive — and pay for — the download.
+    /// Runs one federated round across the whole fleet, in device-index
+    /// order:
+    ///
+    /// 1. with a policy, a control step acts on the quality reports
+    ///    sampled since the last round (quarantine and repair,
+    ///    `docs/POLICY.md`);
+    /// 2. every device with a non-empty support set — and, with a policy,
+    ///    that the policy lets contribute — uploads its parameters;
+    /// 3. the uploads are averaged and the merge encoded for broadcast
+    ///    before any device is touched, so a failed round leaves no trace;
+    /// 4. each contributor pays its upload on its own link, and everyone
+    ///    else logs a typed [`EventKind::FederatedExcluded`] —
+    ///    `Quarantined` when the policy holds it out, else `ZeroSupport`
+    ///    (a zero-sample model must not out-vote devices that hold data);
+    /// 5. the merge installs through the staged-install helper: one wave
+    ///    of every device without a policy, canary → cohort → fleet over
+    ///    the receiving devices with one, each receiver paying its
+    ///    download and sampling its quality monitor;
+    /// 6. a halted install (policy only) screens every contributor for
+    ///    silent poison and counts for nobody; a completed one commits
+    ///    the decoded broadcast as the next delta base, counts the round
+    ///    and serves one round of every quarantine sentence.
     ///
     /// Both directions ship through the binary codec ([`crate::wire`]) at
     /// the fleet's [`FleetConfig::wire`] setting: uploads and the merged
@@ -694,76 +793,123 @@ impl Fleet {
     /// member is current (full-payload fallback otherwise), and what gets
     /// averaged and installed is the **decoded** payload — so quantised
     /// precisions pay their accuracy cost for real, while the default
-    /// `f32` round trip is bitwise lossless. A completed round commits
-    /// the decoded broadcast as the next delta base.
+    /// `f32` round trip is bitwise lossless. Wire preparation fans out
+    /// per band and merges back in device-index order, so the round is
+    /// byte-identical across runs and `PILOTE_THREADS` settings.
     pub fn federated_round(&mut self) -> Result<(), EdgeError> {
-        if self.policy.is_some() {
-            return self.staged_federated_round();
-        }
+        let Fleet { members, policy, config, round, base, wire_totals, rounds_completed, .. } =
+            self;
         let span = pilote_obs::span("fleet.federated_round");
-        span.annotate("devices", self.members.len() as f64);
-        let cfg = self.config.wire;
-        let round = self.round;
-        let base = self.base.as_ref();
-        // Capture + encode + coordinator-side decode fan out across
-        // shards, while every clock charge lands serially in device-index
-        // order below.
-        let payloads = map_in_bands(&mut self.members, |_, member| {
+        span.annotate("devices", members.len() as f64);
+        if let Some(state) = policy.as_mut() {
+            for (index, member) in members.iter_mut().enumerate() {
+                judge_and_repair(member, state, index, wire_totals)?;
+            }
+        }
+
+        // Capture + encode + aggregator-side decode fan out across
+        // shards; the decoded checkpoint is what enters the average.
+        let cfg = config.wire;
+        let committed = *round;
+        let base_ref = base.as_ref();
+        let policy_ref = policy.as_ref().map(|state| &state.policy);
+        let held_out = |index| policy_ref.is_some_and(|p| !p.contributes(index));
+        let payloads = map_in_bands(members, |index, member| {
             let support = member.device.model_mut().support().len();
-            if support == 0 {
-                return (None, support);
+            if support == 0 || held_out(index) {
+                return None;
             }
             let ckpt = Checkpoint::capture(member.device.model_mut().net_mut().layers_mut());
-            (Some(round_trip_upload(&ckpt, base, round, member.base_round, cfg)), support)
+            Some((round_trip_upload(&ckpt, base_ref, committed, member.base_round, cfg), support))
         });
         let mut contributions = Vec::new();
-        let mut upload_bytes: Vec<Option<u64>> = Vec::with_capacity(self.members.len());
-        for (upload, support) in payloads {
-            match upload {
-                Some(result) => {
-                    let (decoded, bytes) = result.map_err(codec_package_error)?;
-                    contributions.push((decoded, support));
-                    upload_bytes.push(Some(bytes));
-                }
-                None => upload_bytes.push(None),
+        let mut uploads = vec![None; members.len()];
+        for (index, payload) in payloads.into_iter().enumerate() {
+            if let Some((upload, support)) = payload {
+                let (decoded, bytes) = upload.map_err(codec_package_error)?;
+                contributions.push((decoded, support));
+                uploads[index] = Some(bytes);
             }
         }
         let participants = contributions.len();
         let merged = federated_average(&contributions)?;
         let mut broadcast =
-            RoundBroadcast::new(merged, base, round, cfg).map_err(codec_package_error)?;
-        if broadcast.canonical_is_delta && self.members.iter().any(|m| m.base_round != round) {
+            RoundBroadcast::new(merged, base_ref, committed, cfg).map_err(codec_package_error)?;
+        let receives = |index| policy_ref.is_none_or(|p| p.receives(index));
+        if broadcast.canonical_is_delta
+            && members.iter().enumerate().any(|(i, m)| receives(i) && m.base_round != committed)
+        {
             broadcast.ensure_full().map_err(codec_package_error)?;
         }
-        let new_round = round + 1;
-        for (index, member) in self.members.iter_mut().enumerate() {
-            if let Some(bytes) = upload_bytes[index] {
+
+        for ((index, member), upload) in members.iter_mut().enumerate().zip(&uploads) {
+            if let Some(bytes) = *upload {
                 member.device.advance_clock(member.link.transfer_seconds(bytes));
-                self.wire_totals.federated_upload_bytes += bytes;
+                wire_totals.federated_upload_bytes += bytes;
+            } else {
+                let reason = if held_out(index) {
+                    ExclusionReason::Quarantined
+                } else {
+                    ExclusionReason::ZeroSupport
+                };
+                member.device.record_event(EventKind::FederatedExcluded { participants, reason });
             }
-            let (down, ckpt, current) = broadcast.payload_for(member.base_round);
+        }
+
+        // Every install is the **decoded** broadcast payload for that
+        // member — delta for current members, the full fallback for
+        // stale ones.
+        let installed = staged_install(members, policy.as_mut().map(|s| &mut s.policy), |member| {
+            let (down, ckpt, _) = broadcast.payload_for(member.base_round);
             member.device.advance_clock(member.link.transfer_seconds(down));
-            self.wire_totals.federated_download_bytes += down;
+            wire_totals.federated_download_bytes += down;
             ckpt.restore(member.device.model_mut().net_mut().layers_mut())?;
             member.device.model_mut().refresh_prototypes()?;
-            if upload_bytes[index].is_none() {
-                member.device.record_event(EventKind::FederatedExcluded {
-                    participants,
-                    reason: ExclusionReason::ZeroSupport,
-                });
-            }
             member.device.note_federated_round(participants);
+            Ok(())
+        })?;
+
+        if installed.halted {
+            // Suspect screening: sample every contributor. The monitor
+            // gates on generation, so a healthy contributor (sampled at
+            // its last commit) yields nothing, while a silently poisoned
+            // one — generation moved without a sample — now gets judged
+            // and repaired. Judging includes the absolute screening
+            // floor: a culprit that sat *inside* the halted wave was just
+            // restored to its own poisoned snapshot, so its incremental
+            // forgetting is zero, but its accuracy against the armed
+            // baseline is not.
+            let state = policy.as_mut().expect("only a policied install halts");
+            for index in (0..members.len()).filter(|&i| uploads[i].is_some()) {
+                members[index].device.sample_quality()?;
+                judge_and_repair(&mut members[index], state, index, wire_totals)?;
+            }
+            state.policy.note_halted_round();
+            drop(span);
+            if pilote_obs::enabled() {
+                pilote_obs::counter("fleet.policy.halted_rounds").inc();
+            }
+            return Ok(());
+        }
+
+        // Members that installed the canonical payload are current for
+        // the new round; full-fallback and held-out members keep falling
+        // back until a lossless install catches them up.
+        let new_round = committed + 1;
+        for &index in &installed.kept {
+            let member = &mut members[index];
+            let (_, _, current) = broadcast.payload_for(member.base_round);
             if current {
                 member.base_round = new_round;
             }
         }
-        self.base = Some(broadcast.canonical);
-        self.round = new_round;
-        self.coordinator.note_round();
-        // The round installed merged parameters everywhere (generation
-        // bumped), so armed quality monitors must sample the new model.
-        for member in &mut self.members {
-            member.device.sample_quality()?;
+        *round = new_round;
+        *base = Some(broadcast.canonical);
+        *rounds_completed += 1;
+        if let Some(state) = policy.as_mut() {
+            for (index, strikes) in state.policy.finish_round() {
+                members[index].device.record_event(EventKind::QuarantineLifted { strikes });
+            }
         }
         drop(span);
         if pilote_obs::enabled() {
@@ -775,9 +921,10 @@ impl Fleet {
     /// Arms the self-healing control loop over this fleet
     /// ([`crate::policy`]): stage plan derived from the fleet seed, every
     /// device starting healthy, and `anchor` as the strike-2 re-anchor
-    /// package. Subsequent [`Fleet::federated_round`] calls run the
-    /// staged policied path and [`Fleet::rollout_deployment`] installs in
-    /// stages with halt-and-rollback.
+    /// package. From then on [`Fleet::federated_round`] runs a control
+    /// step and holds quarantined devices out of the merge, and both it
+    /// and [`Fleet::rollout_deployment`] install in stages with
+    /// halt-and-rollback.
     pub fn enable_policy(
         &mut self,
         config: PolicyConfig,
@@ -810,309 +957,61 @@ impl Fleet {
         }
     }
 
-    /// The policied [`Fleet::federated_round`]: one control step (acting
-    /// on alerts sampled since the last round), then healthy-only
-    /// contribution collection, then a staged canary → cohort → fleet
-    /// install of the merged model with halt-and-rollback and suspect
-    /// screening. See `docs/POLICY.md` for the full loop. Every step runs
-    /// in device-index order (wire sizing fans out per band and merges
-    /// back in that order), so the round is byte-identical across runs
-    /// and `PILOTE_THREADS` settings.
-    fn staged_federated_round(&mut self) -> Result<(), EdgeError> {
-        let Fleet { members, coordinator, policy, config, round, base, wire_totals, .. } = self;
-        let state = policy.as_mut().expect("staged round requires an enabled policy");
-        let span = pilote_obs::span("fleet.staged_round");
-        span.annotate("devices", members.len() as f64);
-
-        // 1. Control step: quarantine/repair on any new triggering alert.
-        control_step(members, state, wire_totals)?;
-
-        // 2. Collect contributions — healthy devices with non-empty
-        //    support, captured BEFORE any install — each encoded through
-        //    the wire codec (delta against the committed base when the
-        //    member is current) and decoded back: the decoded checkpoint
-        //    is what enters the average.
-        let cfg = config.wire;
-        let committed = *round;
-        let base_ref = base.as_ref();
-        let policy_ref = &state.policy;
-        let payloads = map_in_bands(members, |index, member| {
-            let support = member.device.model_mut().support().len();
-            if !(policy_ref.contributes(index) && support > 0) {
-                return (None, support);
-            }
-            let ckpt = Checkpoint::capture(member.device.model_mut().net_mut().layers_mut());
-            (
-                Some(round_trip_upload(&ckpt, base_ref, committed, member.base_round, cfg)),
-                support,
-            )
-        });
-        let mut contributions = Vec::new();
-        let mut contributing = vec![false; members.len()];
-        let mut upload_bytes = vec![0u64; members.len()];
-        for (index, (upload, support)) in payloads.into_iter().enumerate() {
-            if let Some(result) = upload {
-                let (decoded, bytes) = result.map_err(codec_package_error)?;
-                contributing[index] = true;
-                upload_bytes[index] = bytes;
-                contributions.push((decoded, support));
-            }
-        }
-        let participants = contributions.len();
-        for (index, member) in members.iter_mut().enumerate() {
-            if contributing[index] {
-                member.device.advance_clock(member.link.transfer_seconds(upload_bytes[index]));
-                wire_totals.federated_upload_bytes += upload_bytes[index];
-            } else {
-                // Typed exclusion: a healthy-but-empty device skipped for
-                // zero support, everyone else because the policy holds it
-                // out (degraded devices are the ladder's terminal rung of
-                // the same quarantine story).
-                let reason = if state.policy.contributes(index) {
-                    ExclusionReason::ZeroSupport
-                } else {
-                    ExclusionReason::Quarantined
-                };
-                member.device.record_event(EventKind::FederatedExcluded { participants, reason });
-            }
-        }
-        let merged = federated_average(&contributions)?;
-        let mut broadcast = RoundBroadcast::new(merged, base.as_ref(), committed, cfg)
-            .map_err(codec_package_error)?;
-        if broadcast.canonical_is_delta
-            && members
-                .iter()
-                .enumerate()
-                .any(|(i, m)| state.policy.receives(i) && m.base_round != committed)
-        {
-            broadcast.ensure_full().map_err(codec_package_error)?;
-        }
-
-        // 3. Staged install: canary → cohort → fleet, halting (and
-        //    restoring the stage) when the stage's triggering-alert rate
-        //    exceeds its historical baseline. Every install is the
-        //    **decoded** broadcast payload for that member — delta for
-        //    current members, the full fallback for stale ones.
-        let mut installed_current = vec![false; members.len()];
-        for stage in RolloutStage::ALL {
-            let indices: Vec<usize> = state
-                .policy
-                .plan()
-                .stage(stage)
-                .iter()
-                .copied()
-                .filter(|&i| state.policy.receives(i))
-                .collect();
-            if indices.is_empty() {
-                continue;
-            }
-            let mut snapshots = Vec::with_capacity(indices.len());
-            for &i in &indices {
-                let member = &mut members[i];
-                snapshots.push(member.device.policy_snapshot());
-                let (down, ckpt, current) = broadcast.payload_for(member.base_round);
-                member.device.advance_clock(member.link.transfer_seconds(down));
-                wire_totals.federated_download_bytes += down;
-                ckpt.restore(member.device.model_mut().net_mut().layers_mut())?;
-                member.device.model_mut().refresh_prototypes()?;
-                member.device.note_federated_round(participants);
-                installed_current[i] = current;
-            }
-            let mut alerts = 0u64;
-            for &i in &indices {
-                let before = members[i].device.quality_reports().len();
-                members[i].device.sample_quality()?;
-                let reports = members[i].device.quality_reports();
-                alerts += reports[before..]
-                    .iter()
-                    .filter(|r| FleetPolicy::triggering_alert(r).is_some())
-                    .count() as u64;
-            }
-            if state.policy.stage_completed(stage, indices.len(), alerts) {
-                // Halt: the stage's devices are install *victims* — put
-                // them back exactly and consume their reports so the next
-                // control step does not quarantine them for our mistake.
-                for (&i, snap) in indices.iter().zip(snapshots) {
-                    let member = &mut members[i];
-                    member.device.policy_restore(snap)?;
-                    member.device.record_event(EventKind::RolloutHalted {
-                        stage: stage.name().to_string(),
-                        alerts,
-                        stage_size: indices.len(),
-                    });
-                    let seen = member.device.quality_reports().len();
-                    state.policy.mark_seen(i, seen);
-                }
-                // Suspect screening: sample every contributor. The
-                // monitor gates on generation, so a healthy contributor
-                // (sampled at its last commit) yields nothing, while a
-                // silently poisoned one — generation moved without a
-                // sample — now gets judged and quarantined. Judging
-                // includes the absolute screening floor: a culprit that
-                // sat *inside* the halted stage was just restored to its
-                // own poisoned snapshot, so its incremental forgetting is
-                // zero, but its accuracy against the armed baseline is
-                // not.
-                for index in 0..members.len() {
-                    if !contributing[index] {
-                        continue;
-                    }
-                    members[index].device.sample_quality()?;
-                    let member = &mut members[index];
-                    let reports = member.device.quality_reports();
-                    let baseline = reports.first().map(|r| r.old_class_accuracy);
-                    let trigger = state
-                        .policy
-                        .unseen_reports(index, reports)
-                        .iter()
-                        .find_map(|r| state.policy.judge(r, baseline));
-                    let seen = member.device.quality_reports().len();
-                    state.policy.mark_seen(index, seen);
-                    if let Some(rule) = trigger {
-                        apply_repair(member, state, index, &rule, wire_totals)?;
-                    }
-                }
-                state.policy.note_halted_round();
-                drop(span);
-                if pilote_obs::enabled() {
-                    pilote_obs::counter("fleet.policy.halted_rounds").inc();
-                }
-                return Ok(());
-            }
-        }
-
-        // 4. All stages completed: commit the decoded broadcast as the
-        //    next delta base, count the round and serve quarantine
-        //    sentences. Members that installed the canonical payload are
-        //    current for the new round; full-fallback and held-out
-        //    members keep falling back until a lossless install catches
-        //    them up.
-        let new_round = committed + 1;
-        for (index, member) in members.iter_mut().enumerate() {
-            if installed_current[index] {
-                member.base_round = new_round;
-            }
-        }
-        *round = new_round;
-        *base = Some(broadcast.canonical);
-        coordinator.note_round();
-        for (index, strikes) in state.policy.finish_round() {
-            members[index].device.record_event(EventKind::QuarantineLifted { strikes });
-        }
-        drop(span);
-        if pilote_obs::enabled() {
-            pilote_obs::counter("fleet.federated_rounds").inc();
-            pilote_obs::counter("fleet.policy.staged_rounds").inc();
-        }
-        Ok(())
-    }
-
-    /// Installs a new cloud package across the fleet. Without a policy
-    /// this is a single wave: every device adopts the package, pays the
-    /// download on its link, and samples its quality monitor. With a
-    /// policy enabled the install runs canary → cohort → fleet with
-    /// halt-and-rollback, exactly like a staged federated round, and a
-    /// completed rollout re-bases the policy's re-anchor package on the
-    /// new deployment. Returns `true` when every stage completed, `false`
-    /// when a stage halted (its installs restored exactly).
+    /// Installs a new cloud package across the fleet through the same
+    /// staged install as a federated round: one wave of every device
+    /// without a policy; canary → cohort → fleet with halt-and-restore
+    /// with one. Every installer pays the download on its own link and
+    /// samples its quality monitor. Returns `true` when every wave
+    /// completed, `false` when a wave halted (its installs restored
+    /// exactly).
+    ///
+    /// A completed rollout re-bases the federated delta chain on the
+    /// package checkpoint — every installer now holds exactly those bits
+    /// — and, with a policy, makes the package the re-anchor target.
     pub fn rollout_deployment(&mut self, deployment: &Deployment) -> Result<bool, EdgeError> {
         // Every device installs the decoded wire package (lossless at
         // `f32`, genuinely quantised below it) and pays its exact binary
-        // size on the link. A completed rollout re-bases the federated
-        // delta chain on the package checkpoint — every installer now
-        // holds exactly those bits.
+        // size on the link.
         let (package, wire) = package_for_wire(deployment, self.config.wire.precision)?;
         let Fleet { members, policy, round, base, wire_totals, .. } = self;
-        let Some(state) = policy.as_mut() else {
-            for member in members.iter_mut() {
-                member.device.advance_clock(member.link.transfer_seconds(wire));
-                wire_totals.deploy_bytes += wire;
-                member.device.adopt_deployment(&package)?;
-                member.device.record_event(EventKind::Deployed { payload_bytes: wire });
-                member.device.sample_quality()?;
-            }
-            *round += 1;
-            for member in members.iter_mut() {
-                member.base_round = *round;
-            }
-            *base = Some(package.checkpoint);
-            return Ok(true);
-        };
         let span = pilote_obs::span("fleet.rollout");
         span.annotate("devices", members.len() as f64);
-        // Devices from *completed* stages keep the new package when a
-        // later stage halts: the rollout never commits, so their copy of
-        // the committed broadcast is gone and their next federated
-        // payload must be a full one.
-        let mut adopted: Vec<usize> = Vec::new();
-        for stage in RolloutStage::ALL {
-            let indices: Vec<usize> = state
-                .policy
-                .plan()
-                .stage(stage)
-                .iter()
-                .copied()
-                .filter(|&i| state.policy.receives(i))
-                .collect();
-            if indices.is_empty() {
-                continue;
+        let installed = staged_install(members, policy.as_mut().map(|s| &mut s.policy), |member| {
+            member.device.advance_clock(member.link.transfer_seconds(wire));
+            wire_totals.deploy_bytes += wire;
+            member.device.adopt_deployment(&package)?;
+            member.device.record_event(EventKind::Deployed { payload_bytes: wire });
+            Ok(())
+        })?;
+        if installed.halted {
+            // Devices from completed waves keep the new package, but the
+            // rollout never commits: their copy of the committed
+            // broadcast is gone, so their next federated payload must be
+            // a full one.
+            for &index in &installed.kept {
+                members[index].base_round = STALE_ROUND;
             }
-            let mut snapshots = Vec::with_capacity(indices.len());
-            for &i in &indices {
-                let member = &mut members[i];
-                snapshots.push(member.device.policy_snapshot());
-                member.device.advance_clock(member.link.transfer_seconds(wire));
-                wire_totals.deploy_bytes += wire;
-                member.device.adopt_deployment(&package)?;
-                member.device.record_event(EventKind::Deployed { payload_bytes: wire });
+            drop(span);
+            if pilote_obs::enabled() {
+                pilote_obs::counter("fleet.policy.halted_rollouts").inc();
             }
-            let mut alerts = 0u64;
-            for &i in &indices {
-                let before = members[i].device.quality_reports().len();
-                members[i].device.sample_quality()?;
-                let reports = members[i].device.quality_reports();
-                alerts += reports[before..]
-                    .iter()
-                    .filter(|r| FleetPolicy::triggering_alert(r).is_some())
-                    .count() as u64;
-            }
-            if state.policy.stage_completed(stage, indices.len(), alerts) {
-                for (&i, snap) in indices.iter().zip(snapshots) {
-                    let member = &mut members[i];
-                    member.device.policy_restore(snap)?;
-                    member.device.record_event(EventKind::RolloutHalted {
-                        stage: stage.name().to_string(),
-                        alerts,
-                        stage_size: indices.len(),
-                    });
-                    let seen = member.device.quality_reports().len();
-                    state.policy.mark_seen(i, seen);
-                }
-                for &i in &adopted {
-                    members[i].base_round = STALE_ROUND;
-                }
-                drop(span);
-                if pilote_obs::enabled() {
-                    pilote_obs::counter("fleet.policy.halted_rollouts").inc();
-                }
-                return Ok(false);
-            }
-            adopted.extend_from_slice(&indices);
+            return Ok(false);
         }
-        // The fleet now runs the new package everywhere: it becomes the
-        // re-anchor target and the new federated delta base. Held-out
-        // devices (quarantined, degraded) never installed it and stay on
-        // the full-payload fallback.
+        // The package is the new federated delta base. Held-out devices
+        // (degraded) never installed it and stay on the full-payload
+        // fallback.
         *round += 1;
-        for &i in &adopted {
-            members[i].base_round = *round;
+        for &index in &installed.kept {
+            members[index].base_round = *round;
         }
         *base = Some(package.checkpoint.clone());
-        state.anchor = package;
-        state.anchor_bytes = wire;
+        if let Some(state) = policy.as_mut() {
+            state.anchor = package;
+            state.anchor_bytes = wire;
+        }
         drop(span);
         if pilote_obs::enabled() {
-            pilote_obs::counter("fleet.policy.rollouts").inc();
+            pilote_obs::counter("fleet.rollouts").inc();
         }
         Ok(true)
     }
@@ -1293,7 +1192,7 @@ impl Fleet {
             devices,
             sessions: self.sessions_served,
             windows: self.windows_served,
-            federated_rounds: self.coordinator.rounds(),
+            federated_rounds: self.rounds_completed,
         }
     }
 }
@@ -1303,7 +1202,7 @@ impl std::fmt::Debug for Fleet {
         f.debug_struct("Fleet")
             .field("devices", &self.members.len())
             .field("sessions", &self.sessions_served)
-            .field("federated_rounds", &self.coordinator.rounds())
+            .field("federated_rounds", &self.rounds_completed)
             .finish()
     }
 }

@@ -13,17 +13,18 @@
 //! 4. every step is recorded in a typed, virtually-clocked event log
 //!    ([`events::EventLog`]) so deployments are auditable and testable.
 //!
-//! The [`federated`] module implements the paper's §7 future-work
-//! direction: FedAvg-style collaboration where devices share *model
-//! parameters*, never data — consistent with MAGNETO's privacy stance.
-//! The [`fleet`] module scales the edge loop out: a deterministic
-//! multi-device [`fleet::Fleet`] routes user sessions to heterogeneous
-//! devices, serves them through the batched prototype-cache path, and
-//! interleaves incremental updates with scheduled federated rounds (see
+//! The [`federated`] module holds the aggregation rule of the paper's §7
+//! future-work direction: FedAvg-style collaboration where devices share
+//! *model parameters*, never data — consistent with MAGNETO's privacy
+//! stance. Rounds run on a [`fleet::Fleet`], which scales the edge loop
+//! out: a deterministic multi-device fleet routes user sessions to
+//! heterogeneous devices, serves them through the batched prototype-cache
+//! path, and interleaves incremental updates with federated rounds (see
 //! `docs/FLEET.md`). The [`policy`] module closes the quality loop on
 //! top of it: quarantine, rollback → re-anchor → degrade repairs, and
 //! canary → cohort → fleet staged rollouts with auto halt (see
-//! `docs/POLICY.md`).
+//! `docs/POLICY.md`). A fleet without a policy runs the same round and
+//! the same install, with nothing held out and one wave that cannot halt.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
@@ -42,7 +43,7 @@ pub use cloud::{
 };
 pub use edge::{EdgeDevice, EdgeError, InferenceOutcome, UpdateStatus, MAX_UPDATE_FAILURES};
 pub use events::{Event, EventKind, EventLog, ExclusionReason};
-pub use federated::{federated_average, FederatedCoordinator, FederatedError};
+pub use federated::{federated_average, FederatedError};
 pub use fleet::{DeviceStats, Fleet, FleetConfig, FleetStats, WireTotals};
 pub use policy::{
     DeviceHealth, FleetPolicy, PolicyConfig, PolicySummary, RepairAction, RolloutStage, StagePlan,

@@ -37,8 +37,11 @@
 //! wall clock — so two runs (at any `PILOTE_THREADS`) make byte-identical
 //! decisions. The orchestration that *applies* the decisions lives in
 //! [`crate::fleet::Fleet::federated_round`] and
-//! [`crate::fleet::Fleet::rollout_deployment`]; see `docs/POLICY.md` for
-//! the full state machine.
+//! [`crate::fleet::Fleet::rollout_deployment`], which install through one
+//! staged-install helper. A fleet without a policy runs the same round
+//! and install with nothing to act on: nobody is held out, and its one
+//! wave of every device cannot halt. See `docs/POLICY.md` for the full
+//! state machine.
 
 use crate::fleet::splitmix64;
 use pilote_core::{AlertRule, QualityAlert, QualityReport};

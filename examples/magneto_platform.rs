@@ -1,14 +1,13 @@
 //! The full MAGNETO platform loop (paper §3 + Fig. 2, right side):
 //! cloud pre-training → one-time deployment → on-device streaming
 //! inference → drift detection → on-device incremental learning →
-//! a privacy-preserving federated round across two devices (§7).
+//! a privacy-preserving federated round across a two-device fleet (§7).
 //!
 //! ```text
 //! cargo run --release --example magneto_platform
 //! ```
 
 use pilote::har_data::features::extract_batch;
-use pilote::magneto::FederatedCoordinator;
 use pilote::prelude::*;
 
 fn main() {
@@ -35,13 +34,19 @@ fn main() {
         deployment.wire_bytes().expect("serialisable") as f64 / 1e6
     );
 
-    // ---- edge: install once over 4G ---------------------------------------
+    // ---- edge: install once over 4G on a two-device fleet ------------------
+    // No scheduled rounds or automatic updates: this walk-through runs both itself.
     let link = LinkModel::cellular_4g();
-    let mut phone = EdgeDevice::install(DeviceProfile::flagship_phone(), &deployment, &link)
-        .expect("install phone");
-    let mut watch = EdgeDevice::install(DeviceProfile::budget_phone(), &deployment, &link)
-        .expect("install watch");
-    println!("edge: installed on {:?} and {:?}", phone.profile().name, watch.profile().name);
+    let config = FleetConfig { federated_every: 0, update_threshold: 0, ..FleetConfig::default() };
+    let slots =
+        vec![(DeviceProfile::flagship_phone(), link), (DeviceProfile::budget_phone(), link)];
+    let mut fleet = Fleet::deploy(slots, &deployment, config).expect("install");
+    println!(
+        "edge: installed on {:?} and {:?}",
+        fleet.device(0).profile().name,
+        fleet.device(1).profile().name
+    );
+    let phone = fleet.device_mut(0);
 
     // ---- streaming inference ----------------------------------------------
     let walk_session = sim.session(Activity::Walk, 8);
@@ -86,8 +91,8 @@ fn main() {
     );
 
     // ---- federated round (no data leaves either device) ---------------------
-    let mut coordinator = FederatedCoordinator::new();
     // Align class sets first: the watch also learns Run from its own data.
+    let watch = fleet.device_mut(1);
     let watch_run = sim.raw_dataset(&[(Activity::Run, 30)]);
     let watch_features = normalizer
         .transform(&extract_batch(&watch_run).expect("features"))
@@ -96,10 +101,13 @@ fn main() {
         watch.label_sample(Activity::Run.label(), Tensor::vector(watch_features.row(i)));
     }
     watch.update(30).expect("watch update");
-    coordinator
-        .run_round(&mut [&mut phone, &mut watch])
-        .expect("federated round");
-    println!("federated: round {} complete across 2 devices", coordinator.rounds());
+    fleet.federated_round().expect("federated round");
+    println!(
+        "federated: round {} complete across {} devices",
+        fleet.federated_rounds(),
+        fleet.len()
+    );
+    let phone = fleet.device_mut(0);
 
     // ---- final evaluation (device's own normaliser, as on a real phone) -----
     let mut eval_sim = Simulator::with_seed(991);

@@ -45,6 +45,12 @@
 #      twice plus once at PILOTE_THREADS=4, ablate_strategies.json
 #      byte-compared; its rows must be exactly pilote, naive-finetune,
 #      retrained, gdumb, ewc, lwf in that order, every accuracy in [0, 1]
+#  17. the reproduce gate: the first runs of the obs, fleet, quality,
+#      policy and wire gates must equal the committed results/ files
+#      byte for byte (BENCH_scenarios.json is committed at default scale
+#      and BENCH_fleet_large.json at 10k devices, so neither is compared)
+#  18. the example gate: `cargo run --release --example magneto_platform`
+#      must complete its federated round on a two-device fleet
 #
 # Usage: ./scripts/ci.sh   (from anywhere; cd's to the repo root)
 
@@ -342,5 +348,19 @@ for r in rows:
         assert 0.0 <= r[key] <= 1.0, f"{r['strategy']}: {key} out of [0, 1]: {r}"
 print(f"A4 gate: {len(rows)} arms, pilote accuracy {rows[0]['accuracy']:.4f}")
 EOF
+
+# --- reproduce gate --------------------------------------------------------
+
+step "committed --quick outputs reproduce byte for byte"
+for out in t1/BENCH_obs.json f1/BENCH_fleet.json q1/BENCH_quality.json \
+           q1/trace_quality.json p1/BENCH_policy.json w1/BENCH_wire.json; do
+  cmp "$obs_dir/$out" "results/$(basename "$out")"
+done
+
+# --- example gate ----------------------------------------------------------
+
+step "example: magneto_platform completes its two-device federated round"
+cargo run --release -q --example magneto_platform | tee "$obs_dir/magneto_platform.txt"
+grep -qx 'federated: round 1 complete across 2 devices' "$obs_dir/magneto_platform.txt"
 
 printf '\nci.sh: all gates passed\n'

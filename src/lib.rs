@@ -71,9 +71,8 @@ pub mod prelude {
         MemoryBudget, RetryPolicy, SensorFaultInjector, SensorFaultRates,
     };
     pub use pilote_magneto::{
-        CloudServer, EdgeDevice, EdgeError, FederatedCoordinator, FederatedError, Fleet,
-        FleetConfig, FleetPolicy, FleetStats, PolicyConfig, ScenarioRollup, TelemetryRollup,
-        UpdateStatus,
+        CloudServer, EdgeDevice, EdgeError, FederatedError, Fleet, FleetConfig, FleetPolicy,
+        FleetStats, PolicyConfig, ScenarioRollup, TelemetryRollup, UpdateStatus,
     };
     pub use pilote_har_data::dataset::generate_features;
     pub use pilote_har_data::{Activity, Dataset, Simulator, SimulatorConfig, FEATURE_DIM};

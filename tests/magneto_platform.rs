@@ -2,7 +2,7 @@
 //! cloud → deployment → edge streaming → on-device update → federation.
 
 use pilote::har_data::features::extract_batch;
-use pilote::magneto::{EventKind, FederatedCoordinator};
+use pilote::magneto::EventKind;
 use pilote::nn::Layer;
 use pilote::prelude::*;
 
@@ -58,29 +58,28 @@ fn federated_round_aligns_devices_without_sharing_data() {
     let old = [Activity::Still.label(), Activity::Walk.label()];
     let (deployment, _) = server.pretrain_and_package(&old, 10).expect("package");
     let link = LinkModel::wifi();
-    let mut a = EdgeDevice::install(DeviceProfile::flagship_phone(), &deployment, &link)
-        .expect("install a");
-    let mut b =
-        EdgeDevice::install(DeviceProfile::budget_phone(), &deployment, &link).expect("install b");
+    let slots =
+        vec![(DeviceProfile::flagship_phone(), link), (DeviceProfile::budget_phone(), link)];
+    let config = FleetConfig { federated_every: 0, update_threshold: 0, ..FleetConfig::default() };
+    let mut fleet = Fleet::deploy(slots, &deployment, config).expect("deploy");
 
     // Perturb device A's model so the two diverge.
-    for (p, _) in a.model_mut().net_mut().layers_mut().params_and_grads() {
+    for (p, _) in fleet.device_mut(0).model_mut().net_mut().layers_mut().params_and_grads() {
         p.map_inplace(|v| v * 1.05);
     }
 
-    let mut coordinator = FederatedCoordinator::new();
-    coordinator.run_round(&mut [&mut a, &mut b]).expect("round");
-    assert_eq!(coordinator.rounds(), 1);
+    fleet.federated_round().expect("round");
+    assert_eq!(fleet.federated_rounds(), 1);
 
     // After averaging, both devices embed identically.
     let mut rng = Rng64::new(7);
     let probe = Tensor::randn([3, FEATURE_DIM], 0.0, 1.0, &mut rng);
-    let ea = a.model_mut().embed(&probe);
-    let eb = b.model_mut().embed(&probe);
+    let ea = fleet.device_mut(0).model_mut().embed(&probe);
+    let eb = fleet.device_mut(1).model_mut().embed(&probe);
     assert!(ea.max_abs_diff(&eb).unwrap() < 1e-5, "devices diverge after FedAvg");
 
     // Both logs record the round.
-    for d in [&a, &b] {
+    for d in [fleet.device(0), fleet.device(1)] {
         assert!(d
             .log()
             .events()

@@ -11,7 +11,10 @@
 //!   contributions alone, and the device logs a typed
 //!   `FederatedExcluded { reason: Quarantined }`;
 //! * **halt exactness**: a halted canary stage restores the staged
-//!   devices' parameters bitwise to their pre-round state.
+//!   devices' parameters bitwise to their pre-round state;
+//! * **one round**: a round that fails leaves no trace in either mode,
+//!   and a policy with nothing to act on leaves exactly the unpolicied
+//!   round's trace.
 //!
 //! The global [`ThreadConfig`] is process-wide, so the thread-variance
 //! test serialises on [`CONFIG_LOCK`], same as `tests/fleet_props.rs`.
@@ -60,9 +63,10 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// A policied fleet over the shared deployment: armed monitors plus the
-/// self-healing policy anchored on the deployment itself.
-fn policied_fleet(seed: u64) -> Fleet {
+/// A fleet over the shared deployment with no monitor armed, and with
+/// the self-healing policy anchored on the deployment when `policy` is
+/// set.
+fn fixture_fleet(seed: u64, policy: bool) -> Fleet {
     let fx = fixture();
     let links = [LinkModel::wifi(), LinkModel::cellular_4g(), LinkModel::weak_cellular()];
     let slots: Vec<(DeviceProfile, LinkModel)> = DeviceProfile::roster(DEVICES)
@@ -72,6 +76,19 @@ fn policied_fleet(seed: u64) -> Fleet {
         .collect();
     let config = FleetConfig { seed, federated_every: 0, ..FleetConfig::default() };
     let mut fleet = Fleet::deploy(slots, &fx.deployment, config).expect("deploy");
+    if policy {
+        fleet
+            .enable_policy(PolicyConfig::default(), fx.deployment.clone())
+            .expect("enable policy");
+    }
+    fleet
+}
+
+/// A policied fleet over the shared deployment: armed monitors plus the
+/// self-healing policy anchored on the deployment itself.
+fn policied_fleet(seed: u64) -> Fleet {
+    let fx = fixture();
+    let mut fleet = fixture_fleet(seed, false);
     fleet
         .arm_quality_monitors(&fx.probe, &fx.old_labels, QualityThresholds::default())
         .expect("arm");
@@ -235,4 +252,84 @@ fn halted_canary_installs_are_restored_bitwise() {
             "canary device {i} must log the halt"
         );
     }
+}
+
+/// Every device's log and parameters, then the fleet stats and wire
+/// totals, as JSON.
+fn observables(fleet: &mut Fleet) -> Vec<String> {
+    let mut out = Vec::new();
+    for i in 0..fleet.len() {
+        out.push(serde_json::to_string(fleet.device(i).log()).expect("log json"));
+        let ckpt = Checkpoint::capture(fleet.device_mut(i).model_mut().net_mut().layers_mut());
+        out.push(serde_json::to_string(&ckpt).expect("checkpoint json"));
+    }
+    out.push(serde_json::to_string(&fleet.stats()).expect("stats json"));
+    out.push(serde_json::to_string(&fleet.wire_totals()).expect("wire totals json"));
+    out
+}
+
+/// A round that fails — here because no device holds a sample — touches
+/// nothing, with or without a policy: the merge is averaged before any
+/// upload is charged or any exclusion logged.
+#[test]
+fn failed_round_leaves_no_trace() {
+    for policy in [false, true] {
+        let mut fleet = fixture_fleet(29, policy);
+        for i in 0..fleet.len() {
+            *fleet.device_mut(i).model_mut().support_mut() = SupportSet::new();
+        }
+        let before = observables(&mut fleet);
+        let result = fleet.federated_round();
+        assert!(
+            matches!(result, Err(EdgeError::Federated(FederatedError::NoContributions))),
+            "policy {policy}: a round without samples must fail, got {result:?}"
+        );
+        assert_eq!(
+            observables(&mut fleet),
+            before,
+            "policy {policy}: the failed round left a trace"
+        );
+    }
+}
+
+/// A policy with nothing to act on — no monitor armed, so no report to
+/// judge and no wave to halt — leaves exactly the unpolicied round's
+/// trace. A device with an empty support set logs its exclusion before
+/// it pays for and installs the merge.
+#[test]
+fn idle_policy_round_matches_the_unpolicied_round() {
+    let run = |policy: bool| {
+        let mut fleet = fixture_fleet(41, policy);
+        *fleet.device_mut(2).model_mut().support_mut() = SupportSet::new();
+        let net = fleet.device_mut(0).model_mut().net_mut().layers_mut();
+        let (weights, _) = net.params_and_grads().into_iter().next().expect("a weight tensor");
+        weights.map_inplace(|v| v * 1.05);
+        fleet.federated_round().expect("first round");
+        fleet.federated_round().expect("second round");
+        fleet
+    };
+    let mut unpolicied = run(false);
+    let mut idle = run(true);
+    assert_eq!(observables(&mut idle), observables(&mut unpolicied));
+
+    let events = unpolicied.device(2).log().events();
+    let excluded = events
+        .iter()
+        .position(|e| {
+            matches!(
+                e.kind,
+                EventKind::FederatedExcluded { reason: ExclusionReason::ZeroSupport, .. }
+            )
+        })
+        .expect("the empty device must log a ZeroSupport exclusion");
+    let installed = events
+        .iter()
+        .position(|e| matches!(e.kind, EventKind::FederatedRound { .. }))
+        .expect("the empty device must still receive the merge");
+    assert!(
+        excluded < installed && events[excluded].at_seconds < events[installed].at_seconds,
+        "the exclusion must be stamped before the download: {:?} vs {:?}",
+        events[excluded],
+        events[installed]
+    );
 }
