@@ -353,7 +353,7 @@ mod tests {
     /// minutes-scale even at this tiny sizing, so the tier-1 suite skips
     /// it; `scripts/ci.sh`'s fault-matrix step runs it in release.
     #[test]
-    #[ignore = "slow (two full sweeps); run by scripts/ci.sh fault matrix"]
+    #[ignore = "slow (two full sweeps); run by the pilote-bench --ignored step of scripts/ci.sh"]
     fn faults_sweep_is_deterministic_and_well_formed() {
         let dir = std::env::temp_dir().join("pilote_faults_test");
         std::fs::create_dir_all(&dir).unwrap();

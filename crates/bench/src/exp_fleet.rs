@@ -399,7 +399,7 @@ mod tests {
     /// stats, the batched contract must hold, and updates + federated
     /// rounds must actually have happened.
     #[test]
-    #[ignore = "slow (two full fleet schedules); run by scripts/ci.sh fleet step"]
+    #[ignore = "slow (two full fleet schedules); run by the pilote-bench --ignored step of scripts/ci.sh"]
     fn fleet_schedule_is_deterministic_and_complete() {
         let dir = std::env::temp_dir().join("pilote_fleet_test");
         std::fs::create_dir_all(&dir).expect("temp dir");

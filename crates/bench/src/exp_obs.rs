@@ -200,7 +200,7 @@ mod tests {
     /// serialise to identical bytes, and the snapshot must cover every
     /// layer of the stack (kernels, training gauges, edge counters, spans).
     #[test]
-    #[ignore = "slow (two full lifecycles); run by scripts/ci.sh obs step"]
+    #[ignore = "slow (two full lifecycles); run by the pilote-bench --ignored step of scripts/ci.sh"]
     fn obs_snapshot_is_deterministic_and_covers_the_stack() {
         let dir = std::env::temp_dir().join("pilote_obs_test");
         std::fs::create_dir_all(&dir).expect("temp dir");

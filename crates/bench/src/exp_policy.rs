@@ -282,7 +282,7 @@ mod tests {
     /// quarantines at canary, halts, repairs, and ends with strictly
     /// fewer forgetting alerts than the open-loop arm.
     #[test]
-    #[ignore = "slow (two full policy A/Bs); run by scripts/ci.sh policy step"]
+    #[ignore = "slow (two full policy A/Bs); run by the pilote-bench --ignored step of scripts/ci.sh"]
     fn policy_ab_is_deterministic_and_the_loop_closes() {
         let dir = std::env::temp_dir().join("pilote_policy_test");
         std::fs::create_dir_all(&dir).expect("temp dir");

@@ -249,7 +249,7 @@ mod tests {
     /// rollup totals must cover the schedule, and the trace must hold a
     /// span for every lifecycle phase.
     #[test]
-    #[ignore = "slow (two full quality schedules); run by scripts/ci.sh quality step"]
+    #[ignore = "slow (two full quality schedules); run by the pilote-bench --ignored step of scripts/ci.sh"]
     fn quality_schedule_is_deterministic_and_alerts_discriminate() {
         let dir = std::env::temp_dir().join("pilote_quality_test");
         std::fs::create_dir_all(&dir).expect("temp dir");

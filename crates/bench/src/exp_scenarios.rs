@@ -279,7 +279,7 @@ mod tests {
     /// A/B split must hold — PILOTE's final forgetting strictly below
     /// Re-trained's.
     #[test]
-    #[ignore = "slow (two full scenario schedules); run by scripts/ci.sh scenarios step"]
+    #[ignore = "slow (two full scenario schedules); run by the pilote-bench --ignored step of scripts/ci.sh"]
     fn scenario_matrices_are_deterministic_and_split_strategies() {
         let dir = std::env::temp_dir().join("pilote_scenarios_test");
         std::fs::create_dir_all(&dir).expect("temp dir");

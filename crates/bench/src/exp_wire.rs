@@ -93,6 +93,15 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<(), ReportError> {
 
     // --- cloud: pre-train once, package once --------------------------
     let (scenario, norm, _sim) = faulted_scenario(scale, seed);
+    // Every labeller labels a fresh batch before every round, so the
+    // schedule reads this many distinct new-class rows.
+    let labels_needed = FEDERATED_ROUNDS * LABELLING_USERS as usize * LABELS_PER_USER;
+    let pool = scenario.new_pool.len();
+    assert!(
+        pool >= labels_needed,
+        "wire schedule labels {labels_needed} new-class samples but the new-class pool holds {pool}; \
+         raise --per-activity"
+    );
     let mut base = pretrain_base(scenario, scale, seed);
     let deployment = Deployment::from_model(&mut base.model, norm);
     let old_test = base.scenario.old_test();
@@ -106,11 +115,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<(), ReportError> {
     let new_samples = base
         .scenario
         .new_pool
-        .sample_class(
-            new_label,
-            FEDERATED_ROUNDS * LABELLING_USERS as usize * LABELS_PER_USER,
-            &mut rng,
-        )
+        .sample_class(new_label, labels_needed, &mut rng)
         .expect("new-class batch");
 
     // --- the sweep -----------------------------------------------------
@@ -302,9 +307,9 @@ fn run_config(
 mod tests {
     use super::*;
 
-    fn tiny() -> Scale {
+    fn tiny(per_activity: usize) -> Scale {
         Scale {
-            per_activity: 60,
+            per_activity,
             rounds: 1,
             exemplars_per_class: 12,
             max_epochs: 2,
@@ -313,17 +318,28 @@ mod tests {
         }
     }
 
+    /// 60 windows per activity leave 42 new-class training rows, fewer
+    /// than the 60 the labelling schedule reads: the run must stop
+    /// before pre-training, naming both counts.
+    #[test]
+    #[should_panic(expected = "wire schedule labels 60 new-class samples but the new-class pool holds 42")]
+    fn undersized_new_class_pool_fails_up_front() {
+        let dir = std::env::temp_dir().join("pilote_wire_pool_test");
+        let _ = run(&tiny(60), 7, &dir);
+    }
+
     /// Acceptance check: two runs at the same seed must produce the same
     /// JSON bytes (the run itself asserts the savings and accuracy
-    /// contracts).
+    /// contracts). 90 windows per activity leave 63 new-class training
+    /// rows, enough for the 60-label schedule.
     #[test]
-    #[ignore = "slow (six full fleet schedules, twice); run by scripts/ci.sh wire step"]
+    #[ignore = "slow (six full fleet schedules, twice); run by the pilote-bench --ignored step of scripts/ci.sh"]
     fn wire_frontier_is_deterministic() {
         let dir = std::env::temp_dir().join("pilote_wire_test");
         std::fs::create_dir_all(&dir).expect("temp dir");
-        run(&tiny(), 7, &dir).expect("run a");
+        run(&tiny(90), 7, &dir).expect("run a");
         let a = std::fs::read(dir.join("BENCH_wire.json")).expect("read a");
-        run(&tiny(), 7, &dir).expect("run b");
+        run(&tiny(90), 7, &dir).expect("run b");
         let b = std::fs::read(dir.join("BENCH_wire.json")).expect("read b");
         assert_eq!(a, b, "same seed must produce byte-identical BENCH_wire.json");
     }

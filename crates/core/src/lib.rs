@@ -48,7 +48,6 @@
 pub mod config;
 pub mod embedding;
 pub mod exemplar;
-pub mod knn;
 pub mod learner;
 pub mod metrics;
 pub mod ncm;
@@ -63,7 +62,6 @@ pub use config::{NetConfig, PiloteConfig};
 pub use embedding::EmbeddingNet;
 pub use exemplar::{select_exemplars, SelectionStrategy};
 pub use metrics::{accuracy, ConfusionMatrix};
-pub use knn::KnnClassifier;
 pub use learner::Method;
 pub use ncm::NcmClassifier;
 pub use pilote::{Pilote, SupportSet, TrainReport, UpdateOutcome, UpdateStage};

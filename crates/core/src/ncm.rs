@@ -25,20 +25,6 @@ impl NcmClassifier {
         NcmClassifier { labels: Vec::new(), prototypes: Tensor::zeros([0, d]) }
     }
 
-    /// Builds a classifier from `(label, exemplar_embeddings)` pairs; each
-    /// prototype is the mean of its exemplar embeddings.
-    pub fn from_exemplars(classes: &[(usize, &Tensor)]) -> Result<Self, TensorError> {
-        let d = classes
-            .first()
-            .map(|(_, e)| e.cols())
-            .ok_or(TensorError::Empty { op: "NcmClassifier::from_exemplars" })?;
-        let mut clf = NcmClassifier::new(d);
-        for &(label, embeddings) in classes {
-            clf.set_prototype_from(label, embeddings)?;
-        }
-        Ok(clf)
-    }
-
     /// Builds a classifier directly from a prototype matrix: one row of
     /// `prototypes` (`[classes, d]`) per entry of `labels`, installed
     /// as-is without re-averaging. This is the wire-decode path: a device
@@ -240,10 +226,12 @@ mod tests {
     }
 
     #[test]
-    fn from_exemplars_uses_means() {
+    fn set_prototype_from_uses_means() {
         let e0 = Tensor::from_rows(&[vec![0.0, 0.0], vec![2.0, 0.0]]).unwrap();
         let e1 = Tensor::from_rows(&[vec![10.0, 10.0]]).unwrap();
-        let clf = NcmClassifier::from_exemplars(&[(0, &e0), (1, &e1)]).unwrap();
+        let mut clf = NcmClassifier::new(2);
+        clf.set_prototype_from(0, &e0).unwrap();
+        clf.set_prototype_from(1, &e1).unwrap();
         assert_eq!(clf.prototype(0).unwrap().as_slice(), &[1.0, 0.0]);
         assert_eq!(clf.prototype(1).unwrap().as_slice(), &[10.0, 10.0]);
     }

@@ -9,23 +9,17 @@
 mod activation;
 mod batchnorm;
 mod dense;
-mod dropout;
-mod extra_activations;
-mod layernorm;
 mod sequential;
 
 pub use activation::ReLU;
 pub use batchnorm::BatchNorm1d;
 pub use dense::Dense;
-pub use dropout::Dropout;
-pub use extra_activations::{LeakyReLU, Sigmoid, Tanh};
-pub use layernorm::LayerNorm;
 pub use sequential::Sequential;
 
 use pilote_tensor::Tensor;
 
-/// Forward-pass mode: training (batch statistics, active dropout) or
-/// evaluation (running statistics, identity dropout).
+/// Forward-pass mode: training (batch statistics) or evaluation (running
+/// statistics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Training mode.

@@ -51,20 +51,6 @@ impl Sequential {
         self.params_and_grads().into_iter().map(|(p, _)| p.clone()).collect()
     }
 
-    /// Restores parameters from a snapshot produced by
-    /// [`Sequential::state_dict`] on an identically shaped network.
-    ///
-    /// # Panics
-    /// Panics if the snapshot length or any tensor shape differs.
-    pub fn load_state_dict(&mut self, state: &[Tensor]) {
-        let pairs = self.params_and_grads();
-        assert_eq!(pairs.len(), state.len(), "state_dict length mismatch");
-        for ((param, _), saved) in pairs.into_iter().zip(state) {
-            assert_eq!(param.shape(), saved.shape(), "state_dict shape mismatch");
-            param.as_mut_slice().copy_from_slice(saved.as_slice());
-        }
-    }
-
     /// One-line architecture summary, e.g.
     /// `Dense→BatchNorm1d→ReLU→Dense (123k params)`.
     pub fn summary(&mut self) -> String {
@@ -134,24 +120,6 @@ mod tests {
         let x = Tensor::randn([10, 4], 0.0, 1.0, &mut rng);
         let y = net.forward(&x, Mode::Train);
         assert_eq!(y.shape().dims(), &[10, 3]);
-    }
-
-    #[test]
-    fn state_dict_round_trip() {
-        let mut rng = Rng64::new(2);
-        let mut net = small_net(&mut rng);
-        let saved = net.state_dict();
-        let x = Tensor::randn([5, 4], 0.0, 1.0, &mut rng);
-        let before = net.forward(&x, Mode::Eval);
-        // Perturb, then restore.
-        for (p, _) in net.params_and_grads() {
-            p.map_inplace(|v| v + 1.0);
-        }
-        let perturbed = net.forward(&x, Mode::Eval);
-        assert!(before.max_abs_diff(&perturbed).unwrap() > 0.1);
-        net.load_state_dict(&saved);
-        let restored = net.forward(&x, Mode::Eval);
-        assert!(before.max_abs_diff(&restored).unwrap() < 1e-6);
     }
 
     #[test]

@@ -4,18 +4,17 @@
 //! built on [`pilote_tensor`]. It provides exactly the mathematical objects
 //! the PILOTE paper (EDBT 2023) instantiates in PyTorch:
 //!
-//! * **Layers** ([`layer`]): [`layer::Dense`], [`layer::BatchNorm1d`],
-//!   [`layer::ReLU`], [`layer::Dropout`], composed by
-//!   [`layer::Sequential`]. Every layer caches its forward activations and
-//!   implements an analytic backward pass that is verified against central
-//!   finite differences (see [`gradcheck`]).
+//! * **Layers** ([`layer`]): [`layer::Dense`], [`layer::BatchNorm1d`] and
+//!   [`layer::ReLU`], composed by [`layer::Sequential`]. Every layer
+//!   caches its forward activations and implements an analytic backward
+//!   pass that is verified against central finite differences (see
+//!   [`gradcheck`]).
 //! * **Losses** ([`loss`]): the margin contrastive loss of Eq. 2 (both the
 //!   paper's `m² − d²` form and the classic Hadsell `(m − d)²` form), the
 //!   embedding distillation loss of Algorithm 1 line 11, plus MSE, softmax
 //!   cross-entropy and temperature-scaled knowledge distillation for the
 //!   classifier-based continual-learning baselines.
-//! * **Optimizers** ([`optim`]): SGD, SGD-with-momentum and Adam (the
-//!   paper trains with Adam).
+//! * **Optimizer** ([`optim`]): Adam, the optimizer the paper trains with.
 //! * **Schedulers** ([`sched`]): including the paper's "start at 0.01 and
 //!   halve every epoch" rule.
 //! * **Training utilities** ([`train`]): mini-batch iteration, the paper's
@@ -33,18 +32,13 @@ pub mod gradcheck;
 pub mod layer;
 pub mod loss;
 pub mod optim;
-pub mod optim_extra;
 pub mod persist;
 pub mod sched;
 pub mod train;
 
-pub use layer::{
-    BatchNorm1d, Dense, Dropout, Layer, LayerNorm, LeakyReLU, Mode, ReLU, Sequential, Sigmoid,
-    Tanh,
-};
-pub use optim::{Adam, Optimizer, Sgd};
-pub use optim_extra::{AdamW, RmsProp};
+pub use layer::{BatchNorm1d, Dense, Layer, Mode, ReLU, Sequential};
+pub use optim::{Adam, Optimizer};
 pub use delta::{CheckpointDelta, DeltaError};
 pub use persist::{Checkpoint, CheckpointError};
-pub use sched::{ConstantLr, HalvingLr, LrSchedule, StepLr};
+pub use sched::{HalvingLr, LrSchedule, StepLr};
 pub use train::{grad_norm, grads_finite, observe_epoch, params_finite, EarlyStopper, EpochStats};

@@ -8,11 +8,7 @@
 mod classification;
 mod contrastive;
 mod distillation;
-mod supcon;
-mod triplet;
 
 pub use classification::{kd_soft_cross_entropy, mse_loss, softmax, softmax_cross_entropy};
 pub use contrastive::{contrastive_pair_loss, ContrastiveForm};
 pub use distillation::distillation_loss;
-pub use supcon::supervised_contrastive_loss;
-pub use triplet::{sample_triplets, triplet_loss, TripletSet};

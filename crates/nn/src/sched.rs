@@ -9,16 +9,6 @@ pub trait LrSchedule {
     fn lr_at(&self, epoch: usize) -> f32;
 }
 
-/// Constant learning rate.
-#[derive(Debug, Clone, Copy)]
-pub struct ConstantLr(pub f32);
-
-impl LrSchedule for ConstantLr {
-    fn lr_at(&self, _epoch: usize) -> f32 {
-        self.0
-    }
-}
-
 /// The paper's schedule: `lr₀ · 0.5^epoch`, floored at `min_lr` so very
 /// long runs don't underflow to zero updates.
 #[derive(Debug, Clone, Copy)]
@@ -64,13 +54,6 @@ impl LrSchedule for StepLr {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn constant_is_constant() {
-        let s = ConstantLr(0.02);
-        assert_eq!(s.lr_at(0), 0.02);
-        assert_eq!(s.lr_at(100), 0.02);
-    }
 
     #[test]
     fn halving_matches_paper_rule() {

@@ -8,8 +8,11 @@
 #   4. rustdoc with warnings denied (broken intra-doc links fail the gate)
 #   5. clippy with warnings denied
 #   6. the fault matrix (docs/RESILIENCE.md): the fault property suite
-#      under several fixed fault seeds, plus the end-to-end `repro faults`
-#      determinism check (ignored in the normal suite — two full sweeps)
+#      under several fixed fault seeds; then every test of the bench crate
+#      that the normal suite ignores as slow (the faults, obs, fleet,
+#      quality, policy, wire and scenarios runners, each run twice at a
+#      reduced scale and byte-compared), on one test thread because the
+#      obs snapshot test shares the process-wide obs registry
 #   7. the observability gate (docs/OBSERVABILITY.md): no std::time in the
 #      telemetry/virtual-clock paths, `repro obs` byte-identical at
 #      PILOTE_THREADS 1 vs 4, and a PILOTE_OBS=0 kill-switch run
@@ -51,6 +54,9 @@
 #      and BENCH_fleet_large.json at 10k devices, so neither is compared)
 #  18. the example gate: `cargo run --release --example magneto_platform`
 #      must complete its federated round on a two-device fleet
+#  19. the perfbench gate: build and test the perfbench package
+#      (perfbench/Cargo.toml, outside the workspace), so a change to an
+#      API it imports fails here rather than at benchmark time
 #
 # Usage: ./scripts/ci.sh   (from anywhere; cd's to the repo root)
 
@@ -98,8 +104,8 @@ for seed in 11 4242 20230328; do
   PILOTE_FAULT_SEED="$seed" cargo test --release --test fault_props -q
 done
 
-step "fault matrix: repro faults determinism (ignored test, release)"
-cargo test --release -p pilote-bench exp_faults -- --ignored
+step "bench: the runner tests the normal suite ignores as slow (release, one thread)"
+cargo test --release -p pilote-bench -- --ignored --test-threads=1
 
 # --- observability gate (docs/OBSERVABILITY.md) ---------------------------
 
@@ -362,5 +368,10 @@ done
 step "example: magneto_platform completes its two-device federated round"
 cargo run --release -q --example magneto_platform | tee "$obs_dir/magneto_platform.txt"
 grep -qx 'federated: round 1 complete across 2 devices' "$obs_dir/magneto_platform.txt"
+
+# --- perfbench gate -------------------------------------------------------
+
+step "perfbench: the benchmark package builds and its tests pass"
+cargo test --release --manifest-path perfbench/Cargo.toml -q
 
 printf '\nci.sh: all gates passed\n'
