@@ -25,9 +25,7 @@ use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
 use crate::scenario::{pretrain_base, run_arm, Scenario};
 use pilote_core::{Method, Pilote, UpdateStage};
-use pilote_edge_sim::faults::{
-    FlakyLink, LinkFaultRates, RetryPolicy, SensorFaultInjector, SensorFaultRates,
-};
+use pilote_edge_sim::faults::{FlakyLink, LinkFaultRates, SensorFaultInjector, SensorFaultRates};
 use pilote_edge_sim::{DeviceProfile, LinkModel};
 use pilote_har_data::dataset::Dataset;
 use pilote_har_data::features::extract_batch;
@@ -136,7 +134,6 @@ fn sensor_row(
 
 /// Repeated resilient installs over a flaky link at one fault rate.
 fn link_row(rate: f64, rate_idx: usize, seed: u64, deployment: &Deployment) -> serde_json::Value {
-    let policy = RetryPolicy::default_edge();
     let mut ok = 0usize;
     let mut aborted = 0usize;
     let mut attempts_total = 0u64;
@@ -147,12 +144,7 @@ fn link_row(rate: f64, rate_idx: usize, seed: u64, deployment: &Deployment) -> s
             link_seed,
             LinkFaultRates::uniform(rate),
         );
-        match EdgeDevice::install_resilient(
-            DeviceProfile::budget_phone(),
-            deployment,
-            &mut flaky,
-            &policy,
-        ) {
+        match EdgeDevice::install_resilient(DeviceProfile::budget_phone(), deployment, &mut flaky) {
             Ok(_) => ok += 1,
             Err(_) => aborted += 1,
         }
@@ -344,7 +336,6 @@ mod tests {
             exemplars_per_class: 12,
             max_epochs: 2,
             pretrain_epochs: 3,
-            ..Scale::default()
         }
     }
 

@@ -19,7 +19,7 @@
 //!   `PILOTE_THREADS` settings (`scripts/ci.sh` diffs three runs).
 
 use crate::exp_faults::faulted_scenario;
-use crate::report::{write_json, ReportError, Table};
+use crate::report::{write_json, ForcedTelemetry, ReportError, Table};
 use crate::scale::Scale;
 use crate::scenario::{pretrain_base, session_slice};
 use pilote_edge_sim::{DeviceProfile, LinkModel};
@@ -57,9 +57,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<FleetStats, ReportErr
     eprintln!(
         "[fleet] {FLEET_DEVICES} heterogeneous devices, {USERS} users × {SESSIONS_PER_USER} sessions, federated round every {FEDERATED_EVERY} sessions"
     );
-    let was_enabled = pilote_obs::enabled();
-    pilote_obs::reset();
-    pilote_obs::set_enabled(true);
+    let telemetry = ForcedTelemetry::start();
 
     // --- cloud: pre-train once, package once --------------------------
     let (scenario, norm, _sim) = faulted_scenario(scale, seed);
@@ -134,7 +132,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<FleetStats, ReportErr
         .counters_with_prefix("fleet.")
         .map(|(k, v)| (k.to_string(), v))
         .collect();
-    pilote_obs::set_enabled(was_enabled);
+    drop(telemetry);
 
     // --- report --------------------------------------------------------
     let mut t = Table::new(
@@ -234,9 +232,7 @@ pub fn run_large(
         "[fleet-large] {devices} devices, {devices} sessions × {LARGE_WINDOWS_PER_SESSION} windows, \
          event ring {LARGE_EVENT_CAPACITY}, delta upload every {LARGE_UPLOAD_EVERY} sessions"
     );
-    let was_enabled = pilote_obs::enabled();
-    pilote_obs::reset();
-    pilote_obs::set_enabled(true);
+    let telemetry = ForcedTelemetry::start();
 
     // --- cloud: pre-train once, package once --------------------------
     let (scenario, norm, _sim) = faulted_scenario(scale, seed);
@@ -301,7 +297,7 @@ pub fn run_large(
     let devices_serving = stats.devices.iter().filter(|d| d.windows_served > 0).count();
     let clock_sum: f64 = stats.devices.iter().map(|d| d.clock_seconds).sum();
     let clock_max = stats.devices.iter().map(|d| d.clock_seconds).fold(0.0f64, f64::max);
-    pilote_obs::set_enabled(was_enabled);
+    drop(telemetry);
 
     println!(
         "fleet-large: {} devices ({} serving), {} sessions, {} windows, {} delta uploads",
@@ -391,7 +387,6 @@ mod tests {
             exemplars_per_class: 12,
             max_epochs: 2,
             pretrain_epochs: 2,
-            ..Scale::default()
         }
     }
 

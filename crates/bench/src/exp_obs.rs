@@ -192,7 +192,6 @@ mod tests {
             exemplars_per_class: 12,
             max_epochs: 2,
             pretrain_epochs: 2,
-            ..Scale::default()
         }
     }
 

@@ -21,17 +21,15 @@
 //! host wall time — so the JSON is byte-identical for a fixed seed at
 //! any `PILOTE_THREADS` (diffed by `scripts/ci.sh`).
 
-use crate::report::{write_json, ReportError, Table};
+use crate::report::{write_json, ForcedTelemetry, ReportError, Table};
 use crate::scale::Scale;
-use pilote_core::{
-    AdaptiveThresholds, Pilote, PiloteConfig, QualityThresholds, SelectionStrategy,
-};
+use pilote_core::{Pilote, PiloteConfig, SelectionStrategy};
 use pilote_edge_sim::{DeviceProfile, LinkModel};
 use pilote_har_data::dataset::Dataset;
 use pilote_har_data::features::extract_batch;
 use pilote_har_data::preprocess::Normalizer;
 use pilote_har_data::{Activity, Simulator};
-use pilote_magneto::{Deployment, EdgeDevice, Fleet, FleetConfig, PolicyConfig, RolloutStage};
+use pilote_magneto::{Deployment, EdgeDevice, Fleet, FleetConfig, RolloutStage};
 use pilote_nn::Layer;
 use pilote_tensor::Rng64;
 use serde_json::json;
@@ -142,12 +140,10 @@ fn run_arm(
     };
     let mut fleet = Fleet::deploy(slots, deployment, config).expect("fleet deploy");
     let base_labels: Vec<usize> = BASE_ACTIVITIES.iter().map(|a| a.label()).collect();
-    fleet
-        .arm_quality_monitors(probe, &base_labels, QualityThresholds::default())
-        .expect("arm fleet");
+    fleet.arm_quality_monitors(probe, &base_labels).expect("arm fleet");
     if policy_on {
-        fleet.enable_policy(PolicyConfig::default(), deployment.clone()).expect("enable policy");
-        fleet.set_adaptive_thresholds(AdaptiveThresholds::default());
+        fleet.enable_policy(deployment.clone()).expect("enable policy");
+        fleet.enable_adaptive_thresholds();
     }
 
     // The shared schedule: one clean round to fold stage baselines, a
@@ -210,9 +206,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
         "[policy] closed-loop A/B: {FLEET_DEVICES}-device fleet, {ROUNDS} rounds, \
          poison devices {VISIBLE_DEVICE} (visible) and {SILENT_DEVICE} (silent ×3)"
     );
-    let was_enabled = pilote_obs::enabled();
-    pilote_obs::reset();
-    pilote_obs::set_enabled(true);
+    let telemetry = ForcedTelemetry::start();
 
     let (train, test, norm) = corpus(scale, seed);
     let mut model = pretrain(&train, scale, seed);
@@ -222,7 +216,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
 
     let off = run_arm(&deployment, &probe, scale, seed, false)?;
     let on = run_arm(&deployment, &probe, scale, seed, true)?;
-    pilote_obs::set_enabled(was_enabled);
+    drop(telemetry);
 
     let mut t = Table::new(
         "Policy: closed-loop self-healing vs. open-loop (same seed, same poison)",
@@ -273,7 +267,6 @@ mod tests {
             exemplars_per_class: 15,
             max_epochs: 3,
             pretrain_epochs: 4,
-            ..Scale::default()
         }
     }
 

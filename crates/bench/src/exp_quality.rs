@@ -23,10 +23,10 @@
 //! flops — never host wall time — so both JSON files are byte-identical
 //! for a fixed seed at any `PILOTE_THREADS` (diffed by `scripts/ci.sh`).
 
-use crate::report::{write_json, ReportError, Table};
+use crate::report::{write_json, ForcedTelemetry, ReportError, Table};
 use crate::scale::Scale;
 use crate::scenario::{corpus, pretrain_two_class, session_slice, BASE_ACTIVITIES, INCREMENTS};
-use pilote_core::{Method, QualityThresholds};
+use pilote_core::Method;
 use pilote_edge_sim::{DeviceProfile, LinkModel};
 use pilote_magneto::{Deployment, EdgeDevice, Fleet, FleetConfig};
 use pilote_tensor::{Rng64, Tensor};
@@ -65,9 +65,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
         "[quality] A/B alert demo + {FLEET_DEVICES}-device fleet, {} increments",
         INCREMENTS.len()
     );
-    let was_enabled = pilote_obs::enabled();
-    pilote_obs::reset();
-    pilote_obs::set_enabled(true);
+    let telemetry = ForcedTelemetry::start();
 
     // --- cloud: one corpus, one two-class pre-train, one package --------
     let (train, test, norm) = corpus(scale, seed);
@@ -75,7 +73,6 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
     let deployment = Deployment::from_model(&mut model, norm);
     let base_labels: Vec<usize> = BASE_ACTIVITIES.iter().map(|a| a.label()).collect();
     let probe = test.filter_classes(&base_labels).expect("probe classes");
-    let thresholds = QualityThresholds::default();
 
     // --- part 1: A/B alert demo ----------------------------------------
     // Same deployment, same new-class samples, same seed — only the
@@ -93,9 +90,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
         let mut device =
             EdgeDevice::install(DeviceProfile::flagship_phone(), &deployment, &LinkModel::wifi())
                 .expect("install");
-        device
-            .arm_quality_monitor(probe.clone(), &base_labels, thresholds)
-            .expect("arm");
+        device.arm_quality_monitor(probe.clone(), &base_labels).expect("arm");
         if retrain {
             Method::Retrained
                 .update(device.model_mut(), &ab_samples, budget)
@@ -129,7 +124,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
     ..FleetConfig::default()
     };
     let mut fleet = Fleet::deploy(slots, &deployment, config).expect("fleet deploy");
-    fleet.arm_quality_monitors(&probe, &base_labels, thresholds).expect("arm fleet");
+    fleet.arm_quality_monitors(&probe, &base_labels).expect("arm fleet");
 
     let mut session_cursor = 0usize;
     let mut rng = Rng64::new(seed ^ 0xf1e7_4a11);
@@ -198,7 +193,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
 
     // --- chrome trace ----------------------------------------------------
     let trace = pilote_obs::export::chrome_trace(&pilote_obs::snapshot().spans);
-    pilote_obs::set_enabled(was_enabled);
+    drop(telemetry);
     write_json(out, "trace_quality.json", &trace)?;
 
     let doc = json!({
@@ -240,7 +235,6 @@ mod tests {
             exemplars_per_class: 15,
             max_epochs: 3,
             pretrain_epochs: 4,
-            ..Scale::default()
         }
     }
 

@@ -33,10 +33,10 @@
 //! the `scripts/ci.sh` scenarios gate, which also asserts PILOTE's final
 //! forgetting stays strictly below Re-trained's).
 
-use crate::report::{write_json, ReportError, Table};
+use crate::report::{write_json, ForcedTelemetry, ReportError, Table};
 use crate::scale::Scale;
 use crate::scenario::{corpus, pretrain_two_class, session_slice, BASE_ACTIVITIES, INCREMENTS};
-use pilote_core::{Method, QualityThresholds, SessionSummary, TaskGroup};
+use pilote_core::{Method, SessionSummary, TaskGroup};
 use pilote_edge_sim::{DeviceProfile, LinkModel};
 use pilote_har_data::dataset::Dataset;
 use pilote_magneto::{Deployment, EdgeDevice, Fleet, FleetConfig};
@@ -84,9 +84,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
          {} increments",
         INCREMENTS.len()
     );
-    let was_enabled = pilote_obs::enabled();
-    pilote_obs::reset();
-    pilote_obs::set_enabled(true);
+    let telemetry = ForcedTelemetry::start();
 
     // --- cloud: one corpus, one two-class pre-train, one package --------
     let (train, test, norm) = corpus(scale, seed);
@@ -101,7 +99,6 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
     let deployment = Deployment::from_model(&mut model, norm);
     let base_labels: Vec<usize> = BASE_ACTIVITIES.iter().map(|a| a.label()).collect();
     let tasks = task_groups();
-    let thresholds = QualityThresholds::default();
     let budget = scale.exemplars_per_class;
 
     // The probe carries all five activities: not-yet-learned tasks are
@@ -128,12 +125,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
             EdgeDevice::install(DeviceProfile::flagship_phone(), &deployment, &LinkModel::wifi())
                 .expect("install");
         device
-            .arm_quality_monitor_with_sessions(
-                probe.clone(),
-                &base_labels,
-                thresholds,
-                tasks.clone(),
-            )
+            .arm_quality_monitor_with_sessions(probe.clone(), &base_labels, tasks.clone())
             .expect("arm");
         for batch in &batches {
             method
@@ -166,7 +158,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
     };
     let mut fleet = Fleet::deploy(slots, &deployment, config).expect("fleet deploy");
     fleet
-        .arm_quality_monitors_with_sessions(&probe, &base_labels, thresholds, &tasks)
+        .arm_quality_monitors_with_sessions(&probe, &base_labels, &tasks)
         .expect("arm fleet");
 
     let mut session_cursor = 0usize;
@@ -219,7 +211,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
         rollup.mean_forgetting_curve()
     );
 
-    pilote_obs::set_enabled(was_enabled);
+    drop(telemetry);
 
     let doc = json!({
         "seed": seed,
@@ -269,7 +261,6 @@ mod tests {
             exemplars_per_class: 15,
             max_epochs: 3,
             pretrain_epochs: 4,
-            ..Scale::default()
         }
     }
 

@@ -26,7 +26,7 @@
 //! (`scripts/ci.sh` diffs two runs plus a `PILOTE_THREADS=4` run).
 
 use crate::exp_faults::faulted_scenario;
-use crate::report::{write_json, ReportError, Table};
+use crate::report::{write_json, ForcedTelemetry, ReportError, Table};
 use crate::scale::Scale;
 use crate::scenario::{pretrain_base, session_slice};
 use pilote_edge_sim::{DeviceProfile, LinkModel, WirePrecision};
@@ -87,9 +87,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<(), ReportError> {
     eprintln!(
         "[wire] {WIRE_DEVICES} devices, {USERS} users, {FEDERATED_ROUNDS} federated rounds per config, 6 wire configs"
     );
-    let was_enabled = pilote_obs::enabled();
-    pilote_obs::reset();
-    pilote_obs::set_enabled(true);
+    let telemetry = ForcedTelemetry::start();
 
     // --- cloud: pre-train once, package once --------------------------
     let (scenario, norm, _sim) = faulted_scenario(scale, seed);
@@ -140,7 +138,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<(), ReportError> {
             seed,
         ));
     }
-    pilote_obs::set_enabled(was_enabled);
+    drop(telemetry);
 
     // --- contracts -----------------------------------------------------
     let f32_full = by_name(&runs, "f32-full");
@@ -314,18 +312,30 @@ mod tests {
             exemplars_per_class: 12,
             max_epochs: 2,
             pretrain_epochs: 2,
-            ..Scale::default()
         }
     }
 
     /// 60 windows per activity leave 42 new-class training rows, fewer
     /// than the 60 the labelling schedule reads: the run must stop
-    /// before pre-training, naming both counts.
+    /// before pre-training, naming both counts, and hand the telemetry
+    /// kill switch back as it found it.
     #[test]
-    #[should_panic(expected = "wire schedule labels 60 new-class samples but the new-class pool holds 42")]
     fn undersized_new_class_pool_fails_up_front() {
         let dir = std::env::temp_dir().join("pilote_wire_pool_test");
-        let _ = run(&tiny(60), 7, &dir);
+        let was_enabled = pilote_obs::enabled();
+        pilote_obs::set_enabled(false);
+        let outcome = std::panic::catch_unwind(|| run(&tiny(60), 7, &dir));
+        let switch_after = pilote_obs::enabled();
+        pilote_obs::set_enabled(was_enabled);
+        let payload = outcome.expect_err("an undersized pool must panic");
+        let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(
+            message.contains(
+                "wire schedule labels 60 new-class samples but the new-class pool holds 42"
+            ),
+            "unexpected panic: {message}"
+        );
+        assert!(!switch_after, "a panicking runner must restore the kill switch");
     }
 
     /// Acceptance check: two runs at the same seed must produce the same

@@ -96,6 +96,30 @@ impl fmt::Display for Table {
     }
 }
 
+/// Forces telemetry on for one experiment runner: clears the process-wide
+/// obs registry and sets the `PILOTE_OBS` kill switch on. Dropping the
+/// guard puts the switch back to its value at entry on every exit path, a
+/// panicking runner included.
+pub(crate) struct ForcedTelemetry {
+    was_enabled: bool,
+}
+
+impl ForcedTelemetry {
+    /// Saves the kill switch, clears the registry and forces telemetry on.
+    pub(crate) fn start() -> ForcedTelemetry {
+        let was_enabled = pilote_obs::enabled();
+        pilote_obs::reset();
+        pilote_obs::set_enabled(true);
+        ForcedTelemetry { was_enabled }
+    }
+}
+
+impl Drop for ForcedTelemetry {
+    fn drop(&mut self) {
+        pilote_obs::set_enabled(self.was_enabled);
+    }
+}
+
 /// Formats `mean ± std` the way Table 2 prints it.
 pub fn pm(mean: f32, std: f32) -> String {
     format!("{mean:.4}±{std:.4}")

@@ -3,19 +3,21 @@
 //! The paper's campaign has ~200 k records; on this single-core benchmark
 //! host we default to 600 windows per activity (3 000 total), which keeps
 //! each experiment minutes-scale while preserving every relative result.
-//! `Scale::full_paper()` documents the full-scale configuration; `quick()`
-//! is for smoke runs.
+//! `quick()` is for smoke runs. The full campaign would be 40 000 windows
+//! per activity, 5 rounds, 200 exemplars per class, a 20-epoch update cap
+//! and 40 pre-training epochs — only practical on a multi-core host. Every
+//! scale holds out `TEST_PERCENT` (30%) of the records, as the paper does.
 
 use serde::{Deserialize, Serialize};
+
+/// Percentage of records held out as the test set — the paper splits 30%.
+const TEST_PERCENT: usize = 30;
 
 /// Dataset/repetition sizing for the experiment harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Scale {
     /// Simulated windows generated per activity (before the test split).
     pub per_activity: usize,
-    /// Fraction (×100) of records held out as the test set — the paper
-    /// splits 30%.
-    pub test_percent: usize,
     /// Repetition rounds for mean ± std (paper: 5).
     pub rounds: usize,
     /// Default exemplars per class in the support set (paper: 200).
@@ -33,7 +35,6 @@ impl Default for Scale {
     fn default() -> Self {
         Scale {
             per_activity: 600,
-            test_percent: 30,
             rounds: 5,
             exemplars_per_class: 200,
             max_epochs: 12,
@@ -51,31 +52,17 @@ impl Scale {
             exemplars_per_class: 50,
             max_epochs: 6,
             pretrain_epochs: 8,
-            ..Scale::default()
-        }
-    }
-
-    /// The paper's full campaign scale (~200 k records, 5 rounds). Only
-    /// practical on a multi-core host; documented for completeness.
-    pub fn full_paper() -> Self {
-        Scale {
-            per_activity: 40_000,
-            rounds: 5,
-            exemplars_per_class: 200,
-            max_epochs: 20,
-            pretrain_epochs: 40,
-            ..Scale::default()
         }
     }
 
     /// Test fraction as a float.
     pub fn test_fraction(&self) -> f32 {
-        self.test_percent as f32 / 100.0
+        TEST_PERCENT as f32 / 100.0
     }
 
     /// Training windows available per activity after the split.
     pub fn train_per_activity(&self) -> usize {
-        self.per_activity - self.per_activity * self.test_percent / 100
+        self.per_activity - self.per_activity * TEST_PERCENT / 100
     }
 }
 
@@ -86,7 +73,7 @@ mod tests {
     #[test]
     fn default_matches_paper_protocol() {
         let s = Scale::default();
-        assert_eq!(s.test_percent, 30);
+        assert_eq!(TEST_PERCENT, 30);
         assert_eq!(s.rounds, 5);
         assert_eq!(s.exemplars_per_class, 200);
     }

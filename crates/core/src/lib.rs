@@ -65,8 +65,5 @@ pub use metrics::{accuracy, ConfusionMatrix};
 pub use learner::Method;
 pub use ncm::NcmClassifier;
 pub use pilote::{Pilote, SupportSet, TrainReport, UpdateOutcome, UpdateStage};
-pub use quality::{
-    AdaptiveThresholds, AlertRule, ClassQuality, QualityAlert, QualityMonitor, QualityReport,
-    QualityThresholds,
-};
+pub use quality::{AlertRule, ClassQuality, QualityAlert, QualityMonitor, QualityReport};
 pub use session_metrics::{AccuracyMatrix, SessionRecord, SessionSummary, TaskGroup};

@@ -26,11 +26,11 @@
 //!
 //! | rule | fires when |
 //! |------|------------|
-//! | [`AlertRule::Forgetting`] | forgetting score > `forgetting` (default 10 pts) |
-//! | [`AlertRule::MarginCollapse`] | mean margin < `margin_collapse_ratio` × the baseline mean margin (default ¼) |
-//! | [`AlertRule::DriftSpike`] | any class drift ratio > `drift_spike_ratio` (default ½ of the prototype norm) |
+//! | [`AlertRule::Forgetting`] | forgetting score > `FORGETTING_THRESHOLD` (0.10, i.e. 10 pts) |
+//! | [`AlertRule::MarginCollapse`] | mean margin < `MARGIN_COLLAPSE_RATIO` (0.25) × the baseline mean margin |
+//! | [`AlertRule::DriftSpike`] | any class drift ratio > `DRIFT_SPIKE_RATIO` (0.5 of the prototype norm) |
 //!
-//! With [`AdaptiveThresholds`] enabled the forgetting and drift
+//! With [`QualityMonitor::enable_adaptive`] the forgetting and drift
 //! thresholds are re-derived per observation from the device's own probe
 //! history instead of the shared constants (clamped to stay within 2× of
 //! the base either way); the margin rule is already baseline-relative and
@@ -46,10 +46,10 @@
 //! rule is exempt — old-class accuracy is well-defined no matter how many
 //! classes the model has gained.
 //!
-//! Everything here is a deterministic function of the model, the probe
-//! set and the thresholds — no randomness, no wall clock — so one seed
-//! produces byte-identical reports at any `PILOTE_THREADS`. Monitoring
-//! runs regardless of the `PILOTE_OBS` kill switch (alerts are device
+//! Everything here is a deterministic function of the model and the probe
+//! set — no randomness, no wall clock — so one seed produces
+//! byte-identical reports at any `PILOTE_THREADS`. Monitoring runs
+//! regardless of the `PILOTE_OBS` kill switch (alerts are device
 //! *behaviour*, not telemetry); the margin histogram uses the standalone
 //! [`HistogramSnapshot`] accumulator, which is not registry-gated.
 //!
@@ -77,82 +77,52 @@ pub const MARGIN_BOUNDS: &[f64] =
 /// ratio.
 const NORM_FLOOR: f32 = 1e-6;
 
-/// Deterministic alert thresholds. All rules compare a measured value
-/// against a constant (or a constant × the monitor's own baseline), so two
-/// runs with the same seed raise the same alerts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct QualityThresholds {
-    /// Forgetting score (old-class accuracy drop, 0–1) above which
-    /// [`AlertRule::Forgetting`] fires. Paper-motivated default: 0.10.
-    pub forgetting: f32,
-    /// Fraction of the baseline mean margin below which
-    /// [`AlertRule::MarginCollapse`] fires. Default: 0.25.
-    pub margin_collapse_ratio: f64,
-    /// Per-class drift ratio (L2 drift / previous prototype norm) above
-    /// which [`AlertRule::DriftSpike`] fires. Default: 0.5.
-    pub drift_spike_ratio: f32,
-}
+/// Forgetting score (old-class accuracy drop, 0–1) above which
+/// [`AlertRule::Forgetting`] fires.
+const FORGETTING_THRESHOLD: f32 = 0.10;
 
-impl Default for QualityThresholds {
-    fn default() -> Self {
-        QualityThresholds {
-            forgetting: 0.10,
-            margin_collapse_ratio: 0.25,
-            drift_spike_ratio: 0.5,
-        }
-    }
-}
+/// Fraction of the baseline mean margin below which
+/// [`AlertRule::MarginCollapse`] fires.
+const MARGIN_COLLAPSE_RATIO: f64 = 0.25;
 
-/// Derives per-device thresholds from the device's own probe history
-/// instead of fleet-wide constants. Adaimi & Thomaz's lifelong-learning
+/// Per-class drift ratio (L2 drift / previous prototype norm) above which
+/// [`AlertRule::DriftSpike`] fires.
+const DRIFT_SPIKE_RATIO: f32 = 0.5;
+
+/// Adaptive thresholds: how many most-recent prior observations feed the
+/// derivation.
+const ADAPTIVE_WINDOW: usize = 4;
+
+/// Adaptive thresholds: prior observations needed before adaptation kicks
+/// in; below this the base threshold applies.
+const ADAPTIVE_MIN_HISTORY: usize = 3;
+
+/// Adaptive thresholds: multiplier on the history's standard deviation (a
+/// 3-sigma band).
+const ADAPTIVE_HEADROOM: f64 = 3.0;
+
+/// A per-device threshold derived from the device's own probe history
+/// instead of a fleet-wide constant. Adaimi & Thomaz's lifelong-learning
 /// study (PAPERS.md) shows per-user baselines diverge enough that shared
 /// alert constants misfire: a device whose forgetting score naturally
 /// jitters by 5 pts needs more headroom than one that sits at 0.
 ///
-/// The effective threshold for a rule is `headroom ×` the standard
-/// deviation of that rule's measured value over the last `window`
-/// observations, clamped to `[0.5, 2.0] ×` the configured base so a
-/// pathological history can never disable the rule or make it
-/// hair-trigger. Until `min_history` observations exist the base
-/// threshold applies unchanged. Only the **forgetting** and **drift**
-/// rules adapt — the margin rule is already relative to the device's own
-/// baseline margin.
-///
-/// Everything is a deterministic fold over the report history, so
-/// adaptation preserves the byte-identical-across-runs contract.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdaptiveThresholds {
-    /// How many most-recent prior observations feed the derivation.
-    pub window: usize,
-    /// Minimum prior observations before adaptation kicks in; below this
-    /// the base threshold applies.
-    pub min_history: usize,
-    /// Multiplier on the history's standard deviation (a 3-sigma band by
-    /// default).
-    pub headroom: f64,
-}
-
-impl Default for AdaptiveThresholds {
-    fn default() -> Self {
-        AdaptiveThresholds { window: 4, min_history: 3, headroom: 3.0 }
+/// Returns `ADAPTIVE_HEADROOM ×` the standard deviation of the rule's
+/// measured `history` (oldest first) over the last `ADAPTIVE_WINDOW`
+/// observations, clamped to `[0.5 × base, 2.0 × base]` so a pathological
+/// history can never disable the rule or make it hair-trigger. Returns
+/// `base` while the history is shorter than `ADAPTIVE_MIN_HISTORY`. A
+/// deterministic fold over the report history, so adaptation preserves
+/// the byte-identical-across-runs contract.
+fn adaptive_threshold(base: f64, history: &[f64]) -> f64 {
+    if history.len() < ADAPTIVE_MIN_HISTORY {
+        return base;
     }
-}
-
-impl AdaptiveThresholds {
-    /// The effective threshold given a `base` constant and the rule's
-    /// measured `history` (oldest first): `headroom × std(last window)`,
-    /// clamped to `[0.5 × base, 2.0 × base]`. Returns `base` while the
-    /// history is shorter than `min_history`.
-    pub fn effective(&self, base: f64, history: &[f64]) -> f64 {
-        if history.len() < self.min_history {
-            return base;
-        }
-        let tail = &history[history.len().saturating_sub(self.window.max(1))..];
-        let n = tail.len() as f64;
-        let mean = tail.iter().sum::<f64>() / n;
-        let var = tail.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-        (self.headroom * var.sqrt()).clamp(0.5 * base, 2.0 * base)
-    }
+    let tail = &history[history.len().saturating_sub(ADAPTIVE_WINDOW)..];
+    let n = tail.len() as f64;
+    let mean = tail.iter().sum::<f64>() / n;
+    let var = tail.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+    (ADAPTIVE_HEADROOM * var.sqrt()).clamp(0.5 * base, 2.0 * base)
 }
 
 /// Which threshold rule fired.
@@ -236,7 +206,6 @@ pub struct QualityReport {
 pub struct QualityMonitor {
     probe: Dataset,
     old_labels: Vec<usize>,
-    thresholds: QualityThresholds,
     last_generation: Option<u64>,
     prev_prototypes: Vec<(usize, Vec<f32>)>,
     prev_old_accuracy: Option<f32>,
@@ -245,8 +214,9 @@ pub struct QualityMonitor {
     /// rules only fire when the class set is unchanged (see module docs).
     prev_known: Vec<usize>,
     /// When set, forgetting/drift thresholds are derived per observation
-    /// from this monitor's own report history (see [`AdaptiveThresholds`]).
-    adaptive: Option<AdaptiveThresholds>,
+    /// from this monitor's own report history (see
+    /// [`QualityMonitor::enable_adaptive`]).
+    adaptive: bool,
     /// When set, every observation also stamps one row of the session ×
     /// task accuracy matrix (see [`crate::session_metrics`]).
     session_matrix: Option<AccuracyMatrix>,
@@ -257,29 +227,22 @@ impl QualityMonitor {
     /// Builds a monitor over `probe` (held-out windows **already in model
     /// feature space**). `old_labels` are the classes whose accuracy the
     /// forgetting score tracks — typically the pre-trained classes.
-    pub fn new(probe: Dataset, old_labels: &[usize], thresholds: QualityThresholds) -> Self {
+    pub fn new(probe: Dataset, old_labels: &[usize]) -> Self {
         let mut old_labels = old_labels.to_vec();
         old_labels.sort_unstable();
         old_labels.dedup();
         QualityMonitor {
             probe,
             old_labels,
-            thresholds,
             last_generation: None,
             prev_prototypes: Vec::new(),
             prev_old_accuracy: None,
             baseline_mean_margin: None,
             prev_known: Vec::new(),
-            adaptive: None,
+            adaptive: false,
             session_matrix: None,
             reports: Vec::new(),
         }
-    }
-
-    /// Enables per-device adaptive threshold derivation (builder form).
-    pub fn with_adaptive(mut self, adaptive: AdaptiveThresholds) -> Self {
-        self.adaptive = Some(adaptive);
-        self
     }
 
     /// Enables session-matrix recording (builder form): every observation
@@ -297,24 +260,17 @@ impl QualityMonitor {
         self.session_matrix.as_ref()
     }
 
-    /// Enables or disables adaptive threshold derivation in place.
-    pub fn set_adaptive(&mut self, adaptive: Option<AdaptiveThresholds>) {
-        self.adaptive = adaptive;
-    }
-
-    /// The adaptive derivation config, if enabled.
-    pub fn adaptive(&self) -> Option<&AdaptiveThresholds> {
-        self.adaptive.as_ref()
+    /// Enables per-device adaptive threshold derivation: from the next
+    /// observation on, the forgetting and drift thresholds track this
+    /// monitor's own report history instead of the shared constants (see
+    /// the module docs).
+    pub fn enable_adaptive(&mut self) {
+        self.adaptive = true;
     }
 
     /// The monitored old-class labels, sorted.
     pub fn old_labels(&self) -> &[usize] {
         &self.old_labels
-    }
-
-    /// The configured thresholds.
-    pub fn thresholds(&self) -> &QualityThresholds {
-        &self.thresholds
     }
 
     /// All reports taken so far, in observation order — the forgetting
@@ -333,13 +289,14 @@ impl QualityMonitor {
         self.reports.iter().map(|r| r.alerts.len()).sum()
     }
 
-    /// The thresholds in force for the *next* observation: the configured
-    /// base values when adaptation is off or the history is still short,
-    /// otherwise the per-device derived forgetting/drift thresholds (the
-    /// margin ratio never adapts — it is already baseline-relative).
-    pub fn effective_thresholds(&self) -> QualityThresholds {
-        let mut t = self.thresholds;
-        let Some(adaptive) = self.adaptive else { return t };
+    /// The `(forgetting, drift)` thresholds in force for the *next*
+    /// observation: the base constants when adaptation is off or the
+    /// history is still short, otherwise the per-device derived values
+    /// (the margin ratio never adapts — it is already baseline-relative).
+    fn effective_thresholds(&self) -> (f32, f32) {
+        if !self.adaptive {
+            return (FORGETTING_THRESHOLD, DRIFT_SPIKE_RATIO);
+        }
         let forgetting_history: Vec<f64> =
             self.reports.iter().map(|r| f64::from(r.forgetting)).collect();
         let drift_history: Vec<f64> = self
@@ -349,11 +306,10 @@ impl QualityMonitor {
                 r.per_class.iter().map(|c| f64::from(c.drift_ratio)).fold(0.0, f64::max)
             })
             .collect();
-        t.forgetting =
-            adaptive.effective(f64::from(t.forgetting), &forgetting_history) as f32;
-        t.drift_spike_ratio =
-            adaptive.effective(f64::from(t.drift_spike_ratio), &drift_history) as f32;
-        t
+        (
+            adaptive_threshold(f64::from(FORGETTING_THRESHOLD), &forgetting_history) as f32,
+            adaptive_threshold(f64::from(DRIFT_SPIKE_RATIO), &drift_history) as f32,
+        )
     }
 
     /// Samples the model if its generation moved since the last
@@ -477,18 +433,18 @@ impl QualityMonitor {
         // this monitor's own history; `self.reports` still holds only the
         // *prior* observations here, so a measurement never feeds its own
         // threshold.
-        let effective = self.effective_thresholds();
+        let (forgetting_threshold, drift_threshold) = self.effective_thresholds();
         let mut alerts = Vec::new();
-        if forgetting > effective.forgetting {
+        if forgetting > forgetting_threshold {
             alerts.push(QualityAlert {
                 rule: AlertRule::Forgetting,
                 generation,
                 value: f64::from(forgetting),
-                threshold: f64::from(effective.forgetting),
+                threshold: f64::from(forgetting_threshold),
             });
         }
         if let (true, Some(baseline)) = (same_class_set, self.baseline_mean_margin) {
-            let floor = self.thresholds.margin_collapse_ratio * baseline;
+            let floor = MARGIN_COLLAPSE_RATIO * baseline;
             if mean_margin >= 0.0 && mean_margin < floor {
                 alerts.push(QualityAlert {
                     rule: AlertRule::MarginCollapse,
@@ -498,12 +454,12 @@ impl QualityMonitor {
                 });
             }
         }
-        if same_class_set && worst_drift_ratio > effective.drift_spike_ratio {
+        if same_class_set && worst_drift_ratio > drift_threshold {
             alerts.push(QualityAlert {
                 rule: AlertRule::DriftSpike,
                 generation,
                 value: f64::from(worst_drift_ratio),
-                threshold: f64::from(effective.drift_spike_ratio),
+                threshold: f64::from(drift_threshold),
             });
         }
 
@@ -569,7 +525,7 @@ mod tests {
     #[test]
     fn observe_gates_on_generation() {
         let (mut model, _, probe) = fixture(3);
-        let mut monitor = QualityMonitor::new(probe, &old_labels(), Default::default());
+        let mut monitor = QualityMonitor::new(probe, &old_labels());
         let first = monitor.observe(&mut model).unwrap();
         assert!(first.is_some(), "first call must take the baseline");
         assert!(
@@ -589,7 +545,7 @@ mod tests {
             TaskGroup::new("base", &old_labels()),
             TaskGroup::new("run", &[Activity::Run.label()]),
         ];
-        let mut monitor = QualityMonitor::new(probe, &old_labels(), Default::default())
+        let mut monitor = QualityMonitor::new(probe, &old_labels())
             .with_session_tasks(tasks);
         monitor.observe(&mut model).unwrap().expect("baseline");
         let matrix = monitor.session_matrix().expect("recording enabled");
@@ -612,7 +568,7 @@ mod tests {
     #[test]
     fn baseline_report_measures_accuracy_and_margins() {
         let (mut model, _, probe) = fixture(3);
-        let mut monitor = QualityMonitor::new(probe, &old_labels(), Default::default());
+        let mut monitor = QualityMonitor::new(probe, &old_labels());
         let report = monitor.observe(&mut model).unwrap().expect("baseline");
         assert_eq!(report.generation, model.generation());
         assert!(report.old_class_accuracy > 0.7, "pretrain should separate Still/Walk");
@@ -638,7 +594,7 @@ mod tests {
 
         let mut pilote = model.clone_model();
         let mut pilote_monitor =
-            QualityMonitor::new(probe.clone(), &old_labels(), Default::default());
+            QualityMonitor::new(probe.clone(), &old_labels());
         pilote_monitor.observe(&mut pilote).unwrap().expect("baseline");
         pilote.learn_new_class(&new, 15).unwrap();
         let pilote_report =
@@ -652,7 +608,7 @@ mod tests {
 
         let mut retrained = model.clone_model();
         let mut retrained_monitor =
-            QualityMonitor::new(probe, &old_labels(), Default::default());
+            QualityMonitor::new(probe, &old_labels());
         retrained_monitor.observe(&mut retrained).unwrap().expect("baseline");
         Method::Retrained.update(&mut retrained, &new, 15).unwrap();
         let retrained_report =
@@ -672,7 +628,7 @@ mod tests {
     #[test]
     fn drift_spike_fires_when_a_prototype_jumps() {
         let (mut model, _, probe) = fixture(4);
-        let mut monitor = QualityMonitor::new(probe, &old_labels(), Default::default());
+        let mut monitor = QualityMonitor::new(probe, &old_labels());
         monitor.observe(&mut model).unwrap().expect("baseline");
         // Teleport one class's support far away: its prototype moves by
         // much more than its own norm.
@@ -696,7 +652,7 @@ mod tests {
         // observation, and the margin baseline re-anchors at the new
         // class count.
         let (mut model, new, probe) = fixture(6);
-        let mut monitor = QualityMonitor::new(probe, &old_labels(), Default::default());
+        let mut monitor = QualityMonitor::new(probe, &old_labels());
         monitor.observe(&mut model).unwrap().expect("baseline");
         let two_class_baseline = monitor.baseline_mean_margin.expect("baseline margin");
         model.learn_new_class(&new, 15).unwrap();
@@ -723,50 +679,43 @@ mod tests {
 
     #[test]
     fn adaptive_effective_threshold_derivation() {
-        let a = AdaptiveThresholds::default(); // window 4, min_history 3, headroom 3.0
+        // Window 4, minimum history 3, headroom 3.0.
         let base = 0.10;
         // Short history: base applies unchanged.
-        assert_eq!(a.effective(base, &[0.0, 0.01]), base);
+        assert_eq!(adaptive_threshold(base, &[0.0, 0.01]), base);
         // Perfectly stable history: 3σ = 0, clamped up to 0.5 × base — a
         // quiet device gets a tighter trigger, never a disabled rule.
-        assert_eq!(a.effective(base, &[0.02, 0.02, 0.02, 0.02]), 0.5 * base);
+        assert_eq!(adaptive_threshold(base, &[0.02, 0.02, 0.02, 0.02]), 0.5 * base);
         // Noisy history: 3σ blows past the cap, clamped to 2 × base.
-        assert_eq!(a.effective(base, &[0.0, 0.4, 0.0, 0.4]), 2.0 * base);
+        assert_eq!(adaptive_threshold(base, &[0.0, 0.4, 0.0, 0.4]), 2.0 * base);
         // Mild jitter lands between the clamps: σ(±0.02 around mean) =
         // 0.02, so 3σ = 0.06 ∈ [0.05, 0.20].
-        let mid = a.effective(base, &[0.00, 0.04, 0.00, 0.04]);
+        let mid = adaptive_threshold(base, &[0.00, 0.04, 0.00, 0.04]);
         assert!((mid - 0.06).abs() < 1e-12, "got {mid}");
         // Only the last `window` observations count: the wild early value
         // falls outside the window and must not raise the threshold.
-        assert_eq!(a.effective(base, &[9.0, 0.02, 0.02, 0.02, 0.02]), 0.5 * base);
+        assert_eq!(adaptive_threshold(base, &[9.0, 0.02, 0.02, 0.02, 0.02]), 0.5 * base);
     }
 
     #[test]
     fn monitor_adapts_thresholds_from_its_own_history() {
         let (mut model, _, probe) = fixture(3);
-        let base = QualityThresholds::default();
-        let mut monitor = QualityMonitor::new(probe, &old_labels(), base)
-            .with_adaptive(AdaptiveThresholds::default());
-        assert_eq!(
-            monitor.effective_thresholds(),
-            base,
-            "no history yet: base thresholds apply"
-        );
+        let base = (FORGETTING_THRESHOLD, DRIFT_SPIKE_RATIO);
+        let mut monitor = QualityMonitor::new(probe, &old_labels());
+        monitor.enable_adaptive();
+        assert_eq!(monitor.effective_thresholds(), base, "no history yet: base thresholds apply");
         // Three stable observations of an untouched model (generation
         // bumped by prototype refreshes): forgetting history is all-zero,
-        // so the derived threshold clamps down to 0.5 × base.
+        // so the derived threshold clamps down to 0.5 × base. The margin
+        // rule never adapts: it has no entry in the effective thresholds.
         monitor.observe(&mut model).unwrap().expect("baseline");
         for _ in 0..2 {
             model.refresh_prototypes().unwrap();
             monitor.observe(&mut model).unwrap().expect("sample");
         }
-        let eff = monitor.effective_thresholds();
-        assert_eq!(eff.forgetting, 0.5 * base.forgetting);
-        assert_eq!(eff.drift_spike_ratio, 0.5 * base.drift_spike_ratio);
-        assert_eq!(
-            eff.margin_collapse_ratio, base.margin_collapse_ratio,
-            "the margin rule never adapts"
-        );
+        let (forgetting, drift_spike_ratio) = monitor.effective_thresholds();
+        assert_eq!(forgetting, 0.5 * FORGETTING_THRESHOLD);
+        assert_eq!(drift_spike_ratio, 0.5 * DRIFT_SPIKE_RATIO);
         // The alert's recorded threshold must carry the effective value:
         // teleport a prototype and check the drift alert's threshold.
         let label = Activity::Still.label();
@@ -779,13 +728,13 @@ mod tests {
             .iter()
             .find(|a| a.rule == AlertRule::DriftSpike)
             .expect("teleported prototype must still alert");
-        assert_eq!(drift.threshold, f64::from(eff.drift_spike_ratio));
+        assert_eq!(drift.threshold, f64::from(drift_spike_ratio));
     }
 
     #[test]
     fn report_serde_round_trip() {
         let (mut model, _, probe) = fixture(5);
-        let mut monitor = QualityMonitor::new(probe, &old_labels(), Default::default());
+        let mut monitor = QualityMonitor::new(probe, &old_labels());
         let report = monitor.observe(&mut model).unwrap().expect("baseline");
         let json = serde_json::to_string(&report).expect("serialise");
         let back: QualityReport = serde_json::from_str(&json).expect("deserialise");

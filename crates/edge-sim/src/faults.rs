@@ -10,8 +10,9 @@
 //!   windows ahead of the window assembler (dropout gaps, stuck channels,
 //!   NaN/Inf spikes, rail saturation);
 //! * [`FlakyLink`] wraps a [`LinkModel`] with drop / timeout / truncation
-//!   faults for the cloud→edge transfer, paired with [`RetryPolicy`]'s
-//!   exponential backoff + deadline;
+//!   faults for the cloud→edge transfer, paired with a fixed retry rule:
+//!   at most [`RETRY_MAX_ATTEMPTS`] attempts, [`backoff_before`]'s
+//!   exponential backoff and the [`RETRY_DEADLINE_S`] deadline;
 //! * [`CrashPlan`] decides, per incremental update, whether the process is
 //!   killed and at which kill-point.
 //!
@@ -350,34 +351,27 @@ impl FlakyLink {
     }
 }
 
-/// Exponential backoff + deadline for retried transfers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Maximum transfer attempts (≥ 1).
-    pub max_attempts: usize,
-    /// Backoff before the second attempt, in seconds.
-    pub base_backoff_s: f64,
-    /// Multiplier applied to the backoff after each failure.
-    pub backoff_factor: f64,
-    /// Give up once cumulative virtual time exceeds this deadline.
-    pub deadline_s: f64,
-}
+/// Maximum transfer attempts of a retried install.
+pub const RETRY_MAX_ATTEMPTS: usize = 5;
 
-impl RetryPolicy {
-    /// A sensible edge default: 5 attempts, 0.5 s → 8 s backoff, 120 s
-    /// deadline.
-    pub fn default_edge() -> Self {
-        RetryPolicy { max_attempts: 5, base_backoff_s: 0.5, backoff_factor: 2.0, deadline_s: 120.0 }
-    }
+/// Backoff before the second attempt, in seconds.
+const RETRY_BASE_BACKOFF_S: f64 = 0.5;
 
-    /// Backoff to sleep before `attempt` (1-based; the first attempt has
-    /// no backoff).
-    pub fn backoff_before(&self, attempt: usize) -> f64 {
-        if attempt <= 1 {
-            0.0
-        } else {
-            self.base_backoff_s * self.backoff_factor.powi(attempt as i32 - 2)
-        }
+/// Multiplier applied to the backoff after each failure.
+const RETRY_BACKOFF_FACTOR: f64 = 2.0;
+
+/// A retried install gives up once cumulative virtual time exceeds this
+/// deadline, in seconds.
+pub const RETRY_DEADLINE_S: f64 = 120.0;
+
+/// Backoff to sleep before `attempt` (1-based; the first attempt has no
+/// backoff): 0.5 s before the second, doubling after each failure to
+/// 4 s before the fifth.
+pub fn backoff_before(attempt: usize) -> f64 {
+    if attempt <= 1 {
+        0.0
+    } else {
+        RETRY_BASE_BACKOFF_S * RETRY_BACKOFF_FACTOR.powi(attempt as i32 - 2)
     }
 }
 
@@ -574,11 +568,10 @@ mod tests {
 
     #[test]
     fn retry_policy_backoff_grows_exponentially() {
-        let p = RetryPolicy::default_edge();
-        assert_eq!(p.backoff_before(1), 0.0);
-        assert!((p.backoff_before(2) - 0.5).abs() < 1e-12);
-        assert!((p.backoff_before(3) - 1.0).abs() < 1e-12);
-        assert!((p.backoff_before(5) - 4.0).abs() < 1e-12);
+        assert_eq!(backoff_before(1), 0.0);
+        assert!((backoff_before(2) - 0.5).abs() < 1e-12);
+        assert!((backoff_before(3) - 1.0).abs() < 1e-12);
+        assert!((backoff_before(5) - 4.0).abs() < 1e-12);
     }
 
     #[test]

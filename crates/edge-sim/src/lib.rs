@@ -39,8 +39,8 @@ pub mod wire;
 
 pub use device::{DeviceProfile, HOST_REF_FLOPS_PER_SEC};
 pub use faults::{
-    CrashPlan, FaultCounts, FaultPlan, FlakyLink, LinkFault, LinkFaultRates, RetryPolicy,
-    SensorFaultInjector, SensorFaultKind, SensorFaultRates,
+    CrashPlan, FaultCounts, FaultPlan, FlakyLink, LinkFault, LinkFaultRates, SensorFaultInjector,
+    SensorFaultKind, SensorFaultRates,
 };
 pub use latency::LatencyMeter;
 pub use link::LinkModel;

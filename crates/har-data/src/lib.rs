@@ -52,4 +52,4 @@ pub use activity::Activity;
 pub use dataset::Dataset;
 pub use features::FEATURE_DIM;
 pub use preprocess::PreprocessError;
-pub use simulate::{Simulator, SimulatorConfig};
+pub use simulate::Simulator;

@@ -9,38 +9,13 @@
 use crate::activity::Activity;
 use crate::sensors::{Scalar, Triad, CHANNELS, SAMPLE_RATE_HZ, WINDOW_LEN};
 use pilote_tensor::{Rng64, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Standard gravity (m/s²).
 pub const GRAVITY: f32 = 9.81;
 
-/// Configuration of the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SimulatorConfig {
-    /// RNG seed; fully determines all generated data.
-    pub seed: u64,
-    /// Samples per window (paper: ~120).
-    pub window_len: usize,
-    /// Sampling rate in Hz (paper: ~120).
-    pub sample_rate_hz: f32,
-    /// Global multiplier on all sensor noise (1.0 = nominal).
-    pub noise_scale: f32,
-    /// Maximum phone-orientation deviation from the canonical pose, in
-    /// radians. Larger values make classes harder to separate.
-    pub orientation_jitter: f32,
-}
-
-impl Default for SimulatorConfig {
-    fn default() -> Self {
-        SimulatorConfig {
-            seed: 0,
-            window_len: WINDOW_LEN,
-            sample_rate_hz: SAMPLE_RATE_HZ,
-            noise_scale: 1.0,
-            orientation_jitter: 0.7,
-        }
-    }
-}
+/// Maximum phone-orientation deviation from the canonical pose, in
+/// radians. Larger values make classes harder to separate.
+const ORIENTATION_JITTER: f32 = 0.7;
 
 /// A 3×3 rotation matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -156,7 +131,7 @@ struct UserDraw {
 /// A raw (pre-feature-extraction) dataset of sensor windows.
 #[derive(Debug, Clone)]
 pub struct RawDataset {
-    /// One `[window_len, 22]` tensor per record.
+    /// One `[WINDOW_LEN, 22]` tensor per record.
     pub windows: Vec<Tensor>,
     /// Canonical activity label of each record.
     pub labels: Vec<usize>,
@@ -174,28 +149,18 @@ impl RawDataset {
     }
 }
 
-/// The sensor-data simulator.
+/// The sensor-data simulator: [`WINDOW_LEN`]-sample windows at
+/// [`SAMPLE_RATE_HZ`] with nominal sensor noise.
 #[derive(Debug, Clone)]
 pub struct Simulator {
-    cfg: SimulatorConfig,
     rng: Rng64,
 }
 
 impl Simulator {
-    /// New simulator with the given configuration.
-    pub fn new(cfg: SimulatorConfig) -> Self {
-        let rng = Rng64::new(cfg.seed);
-        Simulator { cfg, rng }
-    }
-
-    /// New simulator with default configuration and the given seed.
+    /// New simulator with the given seed, which fully determines all
+    /// generated data.
     pub fn with_seed(seed: u64) -> Self {
-        Simulator::new(SimulatorConfig { seed, ..SimulatorConfig::default() })
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SimulatorConfig {
-        &self.cfg
+        Simulator { rng: Rng64::new(seed) }
     }
 
     fn draw_user(&mut self, activity: Activity) -> UserDraw {
@@ -212,7 +177,7 @@ impl Simulator {
             CarryMode::Mount => (0.15, 1.0, 0.0, 0.0),
         };
         let base_rotation = Rotation::random(carry_angle, r);
-        let jitter = Rotation::random(self.cfg.orientation_jitter, r);
+        let jitter = Rotation::random(ORIENTATION_JITTER, r);
 
         // Terrain regime for vehicle activities: rough roads shake harder.
         let (bump_factor, vib_factor) = if m.vibration_hz.1 > 0.0 {
@@ -235,7 +200,7 @@ impl Simulator {
             sway: u(r, m.sway),
             bump_rate: m.bump_rate * bump_factor,
             bump_amp: m.bump_amp,
-            noise: (m.noise + carry_noise) * self.cfg.noise_scale,
+            noise: m.noise + carry_noise,
             phase: r.uniform_f32() * std::f32::consts::TAU,
             heading: r.uniform_f32() * std::f32::consts::TAU,
             rotation: Rotation::compose(&base_rotation, &jitter),
@@ -255,11 +220,16 @@ impl Simulator {
         }
     }
 
-    /// Generates one `[window_len, 22]` window of the given activity.
+    /// Generates one `[WINDOW_LEN, 22]` window of the given activity.
     pub fn window(&mut self, activity: Activity) -> Tensor {
+        self.samples(activity, WINDOW_LEN)
+    }
+
+    /// `n` consecutive samples `[n, 22]` of one activity from one user
+    /// draw.
+    fn samples(&mut self, activity: Activity, n: usize) -> Tensor {
         let user = self.draw_user(activity);
-        let n = self.cfg.window_len;
-        let dt = 1.0 / self.cfg.sample_rate_hz;
+        let dt = 1.0 / SAMPLE_RATE_HZ;
         let mut data = vec![0.0f32; n * CHANNELS];
 
         // Earth magnetic field in the local frame, rotated by heading.
@@ -387,11 +357,7 @@ impl Simulator {
     pub fn session(&mut self, activity: Activity, seconds: usize) -> Tensor {
         // A session is a sequence of windows from a single user draw; we
         // approximate by fixing the seed-derived user via one long window.
-        let saved_len = self.cfg.window_len;
-        self.cfg.window_len = seconds * self.cfg.sample_rate_hz as usize;
-        let out = self.window(activity);
-        self.cfg.window_len = saved_len;
-        out
+        self.samples(activity, seconds * SAMPLE_RATE_HZ as usize)
     }
 
     /// Generates a labelled raw dataset with `count` windows per activity
@@ -515,8 +481,8 @@ mod tests {
         let mut sim = Simulator::with_seed(6);
         let s = sim.session(Activity::Walk, 5);
         assert_eq!(s.shape().dims(), &[5 * 120, CHANNELS]);
-        // config restored
-        assert_eq!(sim.config().window_len, WINDOW_LEN);
+        // Later windows keep the standard length.
+        assert_eq!(sim.window(Activity::Walk).shape().dims(), &[WINDOW_LEN, CHANNELS]);
     }
 
     #[test]

@@ -11,10 +11,12 @@ use crate::cloud::{Deployment, PackageError, RollupError};
 use crate::events::{EventKind, EventLog};
 use crate::federated::FederatedError;
 use pilote_core::{
-    AccuracyMatrix, AdaptiveThresholds, EmbeddingNet, NcmClassifier, Pilote, QualityMonitor,
-    QualityReport, QualityThresholds, SupportSet, TaskGroup, UpdateOutcome,
+    AccuracyMatrix, EmbeddingNet, NcmClassifier, Pilote, QualityMonitor, QualityReport,
+    SupportSet, TaskGroup, UpdateOutcome,
 };
-use pilote_edge_sim::faults::{FlakyLink, LinkFault, RetryPolicy};
+use pilote_edge_sim::faults::{
+    backoff_before, FlakyLink, LinkFault, RETRY_DEADLINE_S, RETRY_MAX_ATTEMPTS,
+};
 use pilote_edge_sim::{DeviceProfile, LinkModel};
 use pilote_har_data::dataset::Dataset;
 use pilote_har_data::preprocess::PreprocessError;
@@ -161,13 +163,13 @@ pub struct EdgeDevice {
     /// Consecutive failed incremental updates.
     update_failures: u32,
     degraded: bool,
-    /// Serving-side prototype cache: a snapshot of the NCM classifier
-    /// keyed by the model generation it was built from. Batched serving
-    /// classifies against this snapshot; any committed model change
-    /// (incremental update, rollback, degradation, federated install)
-    /// bumps the generation and invalidates it lazily on the next serve.
-    serve_cache: Option<ServeCache>,
-    /// Cache rebuilds performed by [`EdgeDevice::serve_batch`] so far.
+    /// Model generation the last [`EdgeDevice::serve_batch`] served at.
+    /// Every writer of the NCM classifier bumps the generation, so a
+    /// serve at a new generation is a prototype-cache rebuild; any
+    /// committed model change (incremental update, rollback,
+    /// degradation, federated install) counts as one on the next serve.
+    served_generation: Option<u64>,
+    /// Cache rebuilds counted by [`EdgeDevice::serve_batch`] so far.
     cache_rebuilds: u64,
     /// Model-quality monitor (forgetting / drift / margins), armed via
     /// [`EdgeDevice::arm_quality_monitor`]. Sampled at every generation
@@ -188,14 +190,6 @@ pub(crate) struct PolicySnapshot {
     last_good: (Checkpoint, SupportSet),
     update_failures: u32,
     degraded: bool,
-}
-
-/// The cached classifier snapshot behind [`EdgeDevice::serve_batch`].
-struct ServeCache {
-    /// [`pilote_core::Pilote::generation`] the snapshot was taken at.
-    generation: u64,
-    /// Clone of the model's classifier at that generation.
-    classifier: NcmClassifier,
 }
 
 impl EdgeDevice {
@@ -229,22 +223,22 @@ impl EdgeDevice {
     }
 
     /// Installs over a flaky link, retrying failed transfer attempts with
-    /// the policy's exponential backoff until success, the attempt budget,
-    /// or the deadline. Every retry is recorded in the device's
-    /// [`EventLog`]; an exhausted budget returns [`EdgeError::Link`].
+    /// exponential backoff ([`backoff_before`]) until success,
+    /// [`RETRY_MAX_ATTEMPTS`] attempts, or the [`RETRY_DEADLINE_S`]
+    /// deadline. Every retry is recorded in the device's [`EventLog`]; an
+    /// exhausted budget returns [`EdgeError::Link`].
     pub fn install_resilient(
         profile: DeviceProfile,
         deployment: &Deployment,
         flaky: &mut FlakyLink,
-        policy: &RetryPolicy,
     ) -> Result<EdgeDevice, EdgeError> {
         let payload = deployment.wire_bytes()?;
         let mut log = EventLog::new();
         let mut last = None;
         let mut attempts = 0usize;
-        for attempt in 1..=policy.max_attempts {
-            let backoff = policy.backoff_before(attempt);
-            if log.now() + backoff > policy.deadline_s {
+        for attempt in 1..=RETRY_MAX_ATTEMPTS {
+            let backoff = backoff_before(attempt);
+            if log.now() + backoff > RETRY_DEADLINE_S {
                 break;
             }
             log.advance(backoff);
@@ -257,11 +251,11 @@ impl EdgeDevice {
                     last = Some(fault);
                     log.record(EventKind::TransferRetried {
                         attempt,
-                        backoff_seconds: policy.backoff_before(attempt + 1),
+                        backoff_seconds: backoff_before(attempt + 1),
                     });
                 }
             }
-            if log.now() >= policy.deadline_s {
+            if log.now() >= RETRY_DEADLINE_S {
                 break;
             }
         }
@@ -310,7 +304,7 @@ impl EdgeDevice {
             baseline,
             update_failures: 0,
             degraded: false,
-            serve_cache: None,
+            served_generation: None,
             cache_rebuilds: 0,
             quality: None,
             telemetry_baseline: pilote_obs::Snapshot::default(),
@@ -364,9 +358,8 @@ impl EdgeDevice {
         &mut self,
         probe: Dataset,
         old_labels: &[usize],
-        thresholds: QualityThresholds,
     ) -> Result<(), EdgeError> {
-        self.quality = Some(QualityMonitor::new(probe, old_labels, thresholds));
+        self.quality = Some(QualityMonitor::new(probe, old_labels));
         self.sample_quality()?;
         Ok(())
     }
@@ -382,11 +375,9 @@ impl EdgeDevice {
         &mut self,
         probe: Dataset,
         old_labels: &[usize],
-        thresholds: QualityThresholds,
         tasks: Vec<TaskGroup>,
     ) -> Result<(), EdgeError> {
-        self.quality =
-            Some(QualityMonitor::new(probe, old_labels, thresholds).with_session_tasks(tasks));
+        self.quality = Some(QualityMonitor::new(probe, old_labels).with_session_tasks(tasks));
         self.sample_quality()?;
         Ok(())
     }
@@ -459,14 +450,14 @@ impl EdgeDevice {
         self.quality.as_ref().map(|m| m.reports()).unwrap_or(&[])
     }
 
-    /// Enables (or disables, with `None`) per-device adaptive threshold
-    /// derivation on the armed quality monitor — the forgetting/drift
-    /// thresholds then track this device's own probe history instead of
-    /// the shared constants (see [`pilote_core::AdaptiveThresholds`]).
-    /// No-op when no monitor is armed.
-    pub fn set_adaptive_thresholds(&mut self, adaptive: Option<AdaptiveThresholds>) {
+    /// Enables per-device adaptive threshold derivation on the armed
+    /// quality monitor — the forgetting/drift thresholds then track this
+    /// device's own probe history instead of the shared constants (see
+    /// [`QualityMonitor::enable_adaptive`]). No-op when no monitor is
+    /// armed.
+    pub fn enable_adaptive_thresholds(&mut self) {
         if let Some(monitor) = &mut self.quality {
-            monitor.set_adaptive(adaptive);
+            monitor.enable_adaptive();
         }
     }
 
@@ -571,9 +562,7 @@ impl EdgeDevice {
             // function of the operand shapes, so the trace is identical on
             // a loaded laptop and an idle server (see docs/OBSERVABILITY.md).
             let flops_before = work::thread_flops();
-            let emb = self.model.embed(&row);
-            let dists = self.model.classifier().distances(&emb)?;
-            let predicted = self.model.classifier().labels()[dists.argmin_rows()?[0]];
+            let (predicted, distance) = self.model.classify_batch(&row)?[0];
             let flops = work::thread_flops().wrapping_sub(flops_before);
             self.log.advance(self.profile.seconds_for_flops(flops));
             self.log.record(EventKind::Inference { predicted });
@@ -584,7 +573,7 @@ impl EdgeDevice {
                     monitor.reset();
                 }
             }
-            out.push(InferenceOutcome { predicted, distance: dists.min()? });
+            out.push(InferenceOutcome { predicted, distance });
         }
         // Real-time stream: n samples at 120 Hz.
         self.log.advance(samples.rows() as f64 / 120.0);
@@ -734,34 +723,27 @@ impl EdgeDevice {
         Ok(self.model.predict(features)?)
     }
 
-    /// Serves a pre-extracted feature batch (`[n, 28]`) through the
-    /// prototype cache: one embedding forward and one distance kernel for
-    /// the whole batch, classified against a cached snapshot of the NCM
-    /// classifier.
+    /// Serves a pre-extracted feature batch (`[n, 28]`): one embedding
+    /// forward and one distance kernel for the whole batch, classified
+    /// against the model's live NCM prototypes.
     ///
     /// Every kernel is band-parallel over output **rows**, with each row a
     /// pure serial function of its input row, so the outcomes here are
     /// bitwise identical to classifying each window on its own (the
     /// [`EdgeDevice::stream`] path) — see `docs/FLEET.md` for the contract.
     ///
-    /// The cache is keyed by [`Pilote::generation`], which bumps at every
+    /// A serve at a [`Pilote::generation`] other than the last served one
+    /// counts as a prototype-cache rebuild. The generation bumps at every
     /// model commit point (incremental update, rollback, degradation,
-    /// federated install), so a stale snapshot is rebuilt lazily on the
-    /// next serve and can never be consulted.
+    /// federated install), so the counts track every classifier change.
     pub fn serve_batch(&mut self, features: &Tensor) -> Result<Vec<InferenceOutcome>, EdgeError> {
         if features.rows() == 0 {
             return Ok(Vec::new());
         }
         let generation = self.model.generation();
-        let cache_rebuilt = !matches!(
-            &self.serve_cache,
-            Some(cache) if cache.generation == generation
-        );
+        let cache_rebuilt = self.served_generation != Some(generation);
         if cache_rebuilt {
-            self.serve_cache = Some(ServeCache {
-                generation,
-                classifier: self.model.classifier().clone(),
-            });
+            self.served_generation = Some(generation);
             self.cache_rebuilds += 1;
         }
         let span = pilote_obs::span("edge.serve_batch");
@@ -769,13 +751,7 @@ impl EdgeDevice {
         // Modeled device time from shape-derived kernel work, as in
         // `stream` — never host wall time.
         let flops_before = work::thread_flops();
-        let embeddings = self.model.embed(features);
-        let labelled = match &self.serve_cache {
-            Some(cache) => cache.classifier.classify_with_distances(&embeddings)?,
-            // The cache was installed above; classifying against the live
-            // model is the same snapshot at this generation.
-            None => self.model.classifier().classify_with_distances(&embeddings)?,
-        };
+        let labelled = self.model.classify_batch(features)?;
         let flops = work::thread_flops().wrapping_sub(flops_before);
         let device_seconds = self.profile.seconds_for_flops(flops);
         span.annotate("device_seconds", device_seconds);
@@ -791,14 +767,14 @@ impl EdgeDevice {
             .collect())
     }
 
-    /// Prototype-cache rebuilds performed by [`EdgeDevice::serve_batch`].
+    /// Prototype-cache rebuilds counted by [`EdgeDevice::serve_batch`].
     pub fn cache_rebuilds(&self) -> u64 {
         self.cache_rebuilds
     }
 
-    /// Model generation the serving cache was built at, if one exists.
+    /// Model generation of the last [`EdgeDevice::serve_batch`], if any.
     pub fn serve_cache_generation(&self) -> Option<u64> {
-        self.serve_cache.as_ref().map(|c| c.generation)
+        self.served_generation
     }
 
     /// Accuracy on a labelled feature dataset.
@@ -1020,7 +996,7 @@ mod tests {
         let old = [Activity::Still.label(), Activity::Walk.label()];
         let clock_before_arm = device.log().now();
         device
-            .arm_quality_monitor(probe, &old, QualityThresholds::default())
+            .arm_quality_monitor(probe, &old)
             .expect("arm");
         assert_eq!(device.quality_reports().len(), 1, "arming takes the baseline");
         let baseline_generation = device.quality_reports()[0].generation;
@@ -1057,7 +1033,7 @@ mod tests {
         let probe = probe_set(&mut sim, &norm);
         let old = [Activity::Still.label(), Activity::Walk.label()];
         device
-            .arm_quality_monitor(probe, &old, QualityThresholds::default())
+            .arm_quality_monitor(probe, &old)
             .expect("arm");
         assert_eq!(device.log().alert_count(), 0, "healthy baseline must not alert");
 
@@ -1185,7 +1161,7 @@ mod tests {
 
     #[test]
     fn resilient_install_retries_until_success() {
-        use pilote_edge_sim::faults::{LinkFaultRates, RetryPolicy};
+        use pilote_edge_sim::faults::LinkFaultRates;
         let (deployment, _, _) = deployment();
         // Find a seed whose first attempt fails but a later one succeeds.
         for seed in 0..64u64 {
@@ -1198,7 +1174,6 @@ mod tests {
                 DeviceProfile::flagship_phone(),
                 &deployment,
                 &mut flaky,
-                &RetryPolicy::default_edge(),
             );
             let retries = flaky.faults();
             if let Ok(device) = device {
@@ -1220,22 +1195,20 @@ mod tests {
 
     #[test]
     fn resilient_install_gives_up_on_dead_link() {
-        use pilote_edge_sim::faults::{LinkFaultRates, RetryPolicy};
+        use pilote_edge_sim::faults::LinkFaultRates;
         let (deployment, _, _) = deployment();
         let mut flaky = FlakyLink::new(
             LinkModel::weak_cellular(),
             1,
             LinkFaultRates { drop: 1.0, timeout: 0.0, truncate: 0.0 },
         );
-        let policy = RetryPolicy::default_edge();
         match EdgeDevice::install_resilient(
             DeviceProfile::flagship_phone(),
             &deployment,
             &mut flaky,
-            &policy,
         ) {
             Err(EdgeError::Link { attempts, last: LinkFault::Dropped }) => {
-                assert!(attempts >= 1 && attempts <= policy.max_attempts);
+                assert!((1..=RETRY_MAX_ATTEMPTS).contains(&attempts));
             }
             other => panic!("expected Link error, got {other:?}"),
         }

@@ -46,9 +46,9 @@ use crate::cloud::{Deployment, PackageError, ScenarioRollup, TelemetryRollup};
 use crate::edge::{EdgeDevice, EdgeError, InferenceOutcome, UpdateStatus};
 use crate::events::{EventKind, ExclusionReason, DEFAULT_EVENT_CAPACITY};
 use crate::federated::federated_average;
-use crate::policy::{FleetPolicy, PolicyConfig, RepairAction, RolloutStage};
+use crate::policy::{FleetPolicy, RepairAction, RolloutStage, QUARANTINE_ROUNDS};
 use crate::wire::{self, CodecError, WireConfig};
-use pilote_core::{AdaptiveThresholds, QualityThresholds, TaskGroup};
+use pilote_core::TaskGroup;
 use pilote_edge_sim::{DeviceProfile, LinkModel, WirePrecision};
 use pilote_har_data::Dataset;
 use pilote_nn::Checkpoint;
@@ -506,7 +506,7 @@ fn apply_repair(
         member.device.record_event(EventKind::QuarantineEntered {
             rule: rule.to_string(),
             strike,
-            rounds: state.policy.config().quarantine_rounds,
+            rounds: QUARANTINE_ROUNDS,
         });
     }
     match action {
@@ -925,17 +925,13 @@ impl Fleet {
     /// step and holds quarantined devices out of the merge, and both it
     /// and [`Fleet::rollout_deployment`] install in stages with
     /// halt-and-rollback.
-    pub fn enable_policy(
-        &mut self,
-        config: PolicyConfig,
-        anchor: Deployment,
-    ) -> Result<(), EdgeError> {
+    pub fn enable_policy(&mut self, anchor: Deployment) -> Result<(), EdgeError> {
         // The anchor re-installs over the wire: store the decoded package
         // at the configured precision with its exact binary size, so a
         // re-anchor ships (and installs) the same bits a deploy would.
         let (anchor, anchor_bytes) = package_for_wire(&anchor, self.config.wire.precision)?;
         self.policy = Some(PolicyState {
-            policy: FleetPolicy::new(config, self.members.len(), self.config.seed),
+            policy: FleetPolicy::new(self.members.len(), self.config.seed),
             anchor,
             anchor_bytes,
         });
@@ -950,10 +946,10 @@ impl Fleet {
     /// Enables per-device adaptive threshold derivation on every armed
     /// quality monitor: each device's forgetting/drift thresholds then
     /// track its own probe history instead of the shared constants (see
-    /// [`pilote_core::AdaptiveThresholds`]).
-    pub fn set_adaptive_thresholds(&mut self, adaptive: AdaptiveThresholds) {
+    /// [`pilote_core::QualityMonitor::enable_adaptive`]).
+    pub fn enable_adaptive_thresholds(&mut self) {
         for member in &mut self.members {
-            member.device.set_adaptive_thresholds(Some(adaptive));
+            member.device.enable_adaptive_thresholds();
         }
     }
 
@@ -1016,22 +1012,19 @@ impl Fleet {
         Ok(true)
     }
 
-    /// Arms a [`pilote_core::QualityMonitor`] with the same probe set and
-    /// thresholds on every device, in device-index order. Each monitor
-    /// takes its baseline measurement immediately and then samples at
-    /// every later generation bump (updates, rollbacks, degradations and
-    /// federated installs), raising [`crate::events::EventKind::AlertRaised`]
+    /// Arms a [`pilote_core::QualityMonitor`] with the same probe set on
+    /// every device, in device-index order. Each monitor takes its
+    /// baseline measurement immediately and then samples at every later
+    /// generation bump (updates, rollbacks, degradations and federated
+    /// installs), raising [`crate::events::EventKind::AlertRaised`]
     /// events into the device log.
     pub fn arm_quality_monitors(
         &mut self,
         probe: &Dataset,
         old_labels: &[usize],
-        thresholds: QualityThresholds,
     ) -> Result<(), EdgeError> {
         for member in &mut self.members {
-            member
-                .device
-                .arm_quality_monitor(probe.clone(), old_labels, thresholds)?;
+            member.device.arm_quality_monitor(probe.clone(), old_labels)?;
         }
         Ok(())
     }
@@ -1045,14 +1038,12 @@ impl Fleet {
         &mut self,
         probe: &Dataset,
         old_labels: &[usize],
-        thresholds: QualityThresholds,
         tasks: &[TaskGroup],
     ) -> Result<(), EdgeError> {
         for member in &mut self.members {
             member.device.arm_quality_monitor_with_sessions(
                 probe.clone(),
                 old_labels,
-                thresholds,
                 tasks.to_vec(),
             )?;
         }
@@ -1401,9 +1392,7 @@ mod tests {
         let (mut fleet, mut sim, norm) = fleet(3, cfg);
         let probe = probe_set(&mut sim, &norm);
         let old = [Activity::Still.label(), Activity::Walk.label()];
-        fleet
-            .arm_quality_monitors(&probe, &old, QualityThresholds::default())
-            .expect("arm");
+        fleet.arm_quality_monitors(&probe, &old).expect("arm");
         for i in 0..fleet.len() {
             assert_eq!(fleet.device(i).quality_reports().len(), 1, "device {i} baseline");
         }
@@ -1654,18 +1643,16 @@ mod tests {
         assert_eq!(fleet.stats().devices[index].windows_served, 6);
     }
 
-    /// A policied fleet: armed monitors (default thresholds) plus the
-    /// self-healing policy anchored on the original deployment.
+    /// A policied fleet: armed monitors plus the self-healing policy
+    /// anchored on the original deployment.
     fn policied_fleet(n: usize) -> (Fleet, Deployment) {
         let (deployment, mut sim, norm) = deployment();
         let cfg = FleetConfig { federated_every: 0, ..FleetConfig::default() };
         let mut fleet = Fleet::deploy(slots(n), &deployment, cfg).expect("deploy");
         let probe = probe_set(&mut sim, &norm);
         let old = [Activity::Still.label(), Activity::Walk.label()];
-        fleet
-            .arm_quality_monitors(&probe, &old, QualityThresholds::default())
-            .expect("arm");
-        fleet.enable_policy(PolicyConfig::default(), deployment.clone()).expect("policy");
+        fleet.arm_quality_monitors(&probe, &old).expect("arm");
+        fleet.enable_policy(deployment.clone()).expect("policy");
         (fleet, deployment)
     }
 

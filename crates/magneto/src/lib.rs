@@ -46,6 +46,6 @@ pub use events::{Event, EventKind, EventLog, ExclusionReason};
 pub use federated::{federated_average, FederatedError};
 pub use fleet::{DeviceStats, Fleet, FleetConfig, FleetStats, WireTotals};
 pub use policy::{
-    DeviceHealth, FleetPolicy, PolicyConfig, PolicySummary, RepairAction, RolloutStage, StagePlan,
+    DeviceHealth, FleetPolicy, PolicySummary, RepairAction, RolloutStage, StagePlan,
 };
 pub use wire::{CodecError, WireConfig};

@@ -10,7 +10,7 @@
 //!
 //! 1. **Quarantine** — a device whose monitor fires a *triggering* rule
 //!    (`forgetting` or `margin_collapse`; drift alone is advisory) is
-//!    excluded from the next [`PolicyConfig::quarantine_rounds`] FedAvg
+//!    excluded from the next `QUARANTINE_ROUNDS` (2) completed FedAvg
 //!    rounds. It still receives staged installs, and the exclusion is
 //!    logged with the typed
 //!    [`crate::events::ExclusionReason::Quarantined`] reason.
@@ -23,19 +23,19 @@
 //!    proceed canary → cohort → fleet over a hash-routed, deterministic
 //!    [`StagePlan`]. After each stage installs and samples, the stage's
 //!    triggering-alert rate is compared against that stage's historical
-//!    baseline; exceeding it by [`PolicyConfig::halt_margin`] halts the
+//!    baseline; exceeding it by `HALT_MARGIN` (0.25) halts the
 //!    rollout, restores the stage's pre-install snapshots, and screens
 //!    every contributor for silent poison (a generation that moved
 //!    without being sampled).
-//! 4. **Adaptive thresholds** — per-device
-//!    [`pilote_core::AdaptiveThresholds`] derivation lives in
-//!    `core::quality`; the fleet arms it via
-//!    [`crate::fleet::Fleet::set_adaptive_thresholds`].
+//! 4. **Adaptive thresholds** — per-device threshold derivation lives in
+//!    `core::quality` ([`pilote_core::QualityMonitor::enable_adaptive`]);
+//!    the fleet switches it on via
+//!    [`crate::fleet::Fleet::enable_adaptive_thresholds`].
 //!
 //! Every decision here is a pure function of alert history, the stage
-//! plan and the config — no randomness beyond the seeded stage hash, no
-//! wall clock — so two runs (at any `PILOTE_THREADS`) make byte-identical
-//! decisions. The orchestration that *applies* the decisions lives in
+//! plan and the constants below — no randomness beyond the seeded stage
+//! hash, no wall clock — so two runs (at any `PILOTE_THREADS`) make
+//! byte-identical decisions. The orchestration that *applies* the decisions lives in
 //! [`crate::fleet::Fleet::federated_round`] and
 //! [`crate::fleet::Fleet::rollout_deployment`], which install through one
 //! staged-install helper. A fleet without a policy runs the same round
@@ -51,42 +51,29 @@ use serde::{Deserialize, Serialize};
 /// membership is decorrelated from session routing under the same seed.
 const STAGE_HASH_SALT: u64 = 0x57a6_e5a1;
 
-/// Tuning knobs for the self-healing control loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PolicyConfig {
-    /// Completed FedAvg rounds a newly quarantined device sits out
-    /// (halted rounds do not count down — nothing was installed).
-    pub quarantine_rounds: usize,
-    /// Fraction of the roster in the canary stage (at least one device).
-    pub canary_fraction: f64,
-    /// Fraction of the roster in the cohort stage; the remainder is the
-    /// fleet stage.
-    pub cohort_fraction: f64,
-    /// How far a stage's triggering-alert rate may exceed its historical
-    /// baseline rate before the rollout halts (absolute rate margin).
-    pub halt_margin: f64,
-    /// Absolute screening floor: a device whose probe old-class accuracy
-    /// sits more than this below its *armed baseline* (its first quality
-    /// report) is treated as triggering even when no alert fired. The
-    /// forgetting rule measures the drop versus the previous observation,
-    /// so a device that was already broken when last sampled — e.g. a
-    /// halted canary restored to its own silently-poisoned snapshot —
-    /// shows a forgetting of zero forever; this floor is what breaks that
-    /// masking loop.
-    pub screening_accuracy_drop: f32,
-}
+/// Completed FedAvg rounds a newly quarantined device sits out (halted
+/// rounds do not count down — nothing was installed).
+pub(crate) const QUARANTINE_ROUNDS: usize = 2;
 
-impl Default for PolicyConfig {
-    fn default() -> Self {
-        PolicyConfig {
-            quarantine_rounds: 2,
-            canary_fraction: 0.2,
-            cohort_fraction: 0.3,
-            halt_margin: 0.25,
-            screening_accuracy_drop: 0.2,
-        }
-    }
-}
+/// Fraction of the roster in the canary stage (at least one device).
+const CANARY_FRACTION: f64 = 0.2;
+
+/// Fraction of the roster in the cohort stage; the remainder is the fleet
+/// stage.
+const COHORT_FRACTION: f64 = 0.3;
+
+/// How far a stage's triggering-alert rate may exceed its historical
+/// baseline rate before the rollout halts (absolute rate margin).
+const HALT_MARGIN: f64 = 0.25;
+
+/// Absolute screening floor: a device whose probe old-class accuracy sits
+/// more than this below its *armed baseline* (its first quality report) is
+/// treated as triggering even when no alert fired. The forgetting rule
+/// measures the drop versus the previous observation, so a device that was
+/// already broken when last sampled — e.g. a halted canary restored to its
+/// own silently-poisoned snapshot — shows a forgetting of zero forever;
+/// this floor is what breaks that masking loop.
+const SCREENING_ACCURACY_DROP: f32 = 0.2;
 
 /// The three rollout stages, in install order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -136,16 +123,15 @@ pub struct StagePlan {
 }
 
 impl StagePlan {
-    fn build(devices: usize, seed: u64, config: &PolicyConfig) -> StagePlan {
+    fn build(devices: usize, seed: u64) -> StagePlan {
         let mut order: Vec<usize> = (0..devices).collect();
         // Hash-routed assignment: sort by a salted per-device hash (index
         // as tiebreak), then cut the waves off the front. Pure function
         // of (seed, roster size) — stable for the fleet's lifetime.
         order.sort_by_key(|&i| (splitmix64(seed ^ STAGE_HASH_SALT ^ i as u64), i));
-        let canary_n =
-            (((devices as f64) * config.canary_fraction).round() as usize).clamp(1, devices);
-        let cohort_n = (((devices as f64) * config.cohort_fraction).round() as usize)
-            .min(devices - canary_n);
+        let canary_n = (((devices as f64) * CANARY_FRACTION).round() as usize).clamp(1, devices);
+        let cohort_n =
+            (((devices as f64) * COHORT_FRACTION).round() as usize).min(devices - canary_n);
         let mut canary: Vec<usize> = order[..canary_n].to_vec();
         let mut cohort: Vec<usize> = order[canary_n..canary_n + cohort_n].to_vec();
         let mut fleet: Vec<usize> = order[canary_n + cohort_n..].to_vec();
@@ -245,7 +231,6 @@ pub struct PolicySummary {
 /// only — the [`crate::fleet::Fleet`] owns the devices and applies them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetPolicy {
-    config: PolicyConfig,
     plan: StagePlan,
     health: Vec<DeviceHealth>,
     strikes: Vec<u32>,
@@ -267,12 +252,10 @@ impl FleetPolicy {
     /// A policy over a roster of `devices`, with stage membership derived
     /// from `seed` (use the fleet's own seed so one seed fixes routing
     /// *and* staging).
-    pub fn new(config: PolicyConfig, devices: usize, seed: u64) -> FleetPolicy {
+    pub fn new(devices: usize, seed: u64) -> FleetPolicy {
         assert!(devices > 0, "a policy needs at least one device");
-        let plan = StagePlan::build(devices, seed, &config);
         FleetPolicy {
-            config,
-            plan,
+            plan: StagePlan::build(devices, seed),
             health: vec![DeviceHealth::Healthy; devices],
             strikes: vec![0; devices],
             seen_reports: vec![0; devices],
@@ -286,11 +269,6 @@ impl FleetPolicy {
             rounds_completed: 0,
             rounds_halted: 0,
         }
-    }
-
-    /// The configured knobs.
-    pub fn config(&self) -> &PolicyConfig {
-        &self.config
     }
 
     /// The deterministic stage plan.
@@ -330,8 +308,8 @@ impl FleetPolicy {
     }
 
     /// Judges one not-yet-inspected report: a triggering alert wins;
-    /// otherwise the absolute screening floor
-    /// ([`PolicyConfig::screening_accuracy_drop`]) against the device's
+    /// otherwise the absolute screening floor (`SCREENING_ACCURACY_DROP`,
+    /// 0.2) against the device's
     /// armed-baseline accuracy catches a model that was *already* broken
     /// at its previous observation and therefore shows zero incremental
     /// forgetting. Returns the rule name driving the repair.
@@ -341,7 +319,7 @@ impl FleetPolicy {
         }
         match baseline_accuracy {
             Some(base)
-                if report.old_class_accuracy < base - self.config.screening_accuracy_drop =>
+                if report.old_class_accuracy < base - SCREENING_ACCURACY_DROP =>
             {
                 Some("screening_floor".to_string())
             }
@@ -364,8 +342,7 @@ impl FleetPolicy {
     }
 
     /// Registers a new triggering alert on a device: bumps its strike,
-    /// (re-)enters quarantine with a full [`PolicyConfig::quarantine_rounds`]
-    /// sentence, and returns the repair the ladder prescribes. Idempotent
+    /// (re-)enters quarantine with a full `QUARANTINE_ROUNDS` sentence, and returns the repair the ladder prescribes. Idempotent
     /// on a degraded device (already at the terminal rung).
     pub fn escalate(&mut self, index: usize) -> RepairAction {
         if matches!(self.health[index], DeviceHealth::Degraded) {
@@ -386,7 +363,7 @@ impl FleetPolicy {
         self.health[index] = if action == RepairAction::Degrade {
             DeviceHealth::Degraded
         } else {
-            DeviceHealth::Quarantined { rounds_left: self.config.quarantine_rounds }
+            DeviceHealth::Quarantined { rounds_left: QUARANTINE_ROUNDS }
         };
         action
     }
@@ -407,7 +384,7 @@ impl FleetPolicy {
         }
         let baseline = &mut self.baselines[stage.index()];
         let rate = alerts as f64 / installed as f64;
-        let halted = rate > baseline.rate() + self.config.halt_margin;
+        let halted = rate > baseline.rate() + HALT_MARGIN;
         if halted {
             self.halts += 1;
         } else {
@@ -478,17 +455,17 @@ mod tests {
 
     #[test]
     fn stage_plan_partitions_the_roster_deterministically() {
-        let config = PolicyConfig::default();
-        let a = StagePlan::build(10, 42, &config);
-        let b = StagePlan::build(10, 42, &config);
+        let a = StagePlan::build(10, 42);
+        let b = StagePlan::build(10, 42);
         assert_eq!(a, b, "same seed must give the same plan");
         assert_ne!(
             a,
-            StagePlan::build(10, 43, &config),
+            StagePlan::build(10, 43),
             "a different seed should (here) reshuffle the stages"
         );
-        // Exact partition: every index exactly once, waves sized by the
-        // configured fractions (canary 2, cohort 3, fleet 5 for n=10).
+        // Exact partition: every index exactly once, waves sized by
+        // `CANARY_FRACTION` and `COHORT_FRACTION` (canary 2, cohort 3, fleet
+        // 5 for n=10).
         assert_eq!(a.canary.len(), 2);
         assert_eq!(a.cohort.len(), 3);
         assert_eq!(a.fleet.len(), 5);
@@ -503,7 +480,7 @@ mod tests {
 
     #[test]
     fn tiny_roster_still_gets_a_canary() {
-        let plan = StagePlan::build(1, 7, &PolicyConfig::default());
+        let plan = StagePlan::build(1, 7);
         assert_eq!(plan.canary, vec![0]);
         assert!(plan.cohort.is_empty());
         assert!(plan.fleet.is_empty());
@@ -511,7 +488,7 @@ mod tests {
 
     #[test]
     fn escalation_walks_the_resilience_ladder() {
-        let mut policy = FleetPolicy::new(PolicyConfig::default(), 3, 1);
+        let mut policy = FleetPolicy::new(3, 1);
         assert!(policy.contributes(0));
         assert_eq!(policy.escalate(0), RepairAction::Rollback);
         assert_eq!(policy.health(0), DeviceHealth::Quarantined { rounds_left: 2 });
@@ -537,7 +514,7 @@ mod tests {
 
     #[test]
     fn quarantine_lifts_after_serving_completed_rounds() {
-        let mut policy = FleetPolicy::new(PolicyConfig::default(), 2, 1);
+        let mut policy = FleetPolicy::new(2, 1);
         policy.escalate(1);
         assert!(policy.finish_round().is_empty(), "one round served, one to go");
         // A halted round does not advance the sentence.
@@ -555,7 +532,7 @@ mod tests {
 
     #[test]
     fn stage_halts_against_its_rolling_baseline() {
-        let mut policy = FleetPolicy::new(PolicyConfig::default(), 8, 1);
+        let mut policy = FleetPolicy::new(8, 1);
         // Clean history: two alert-free canary installs.
         assert!(!policy.stage_completed(RolloutStage::Canary, 2, 0));
         assert!(!policy.stage_completed(RolloutStage::Canary, 2, 0));
@@ -575,7 +552,7 @@ mod tests {
 
     #[test]
     fn policy_serde_round_trips() {
-        let mut policy = FleetPolicy::new(PolicyConfig::default(), 5, 9);
+        let mut policy = FleetPolicy::new(5, 9);
         policy.escalate(2);
         policy.stage_completed(RolloutStage::Canary, 1, 1);
         policy.finish_round();

@@ -49,9 +49,10 @@
 #      byte-compared; its rows must be exactly pilote, naive-finetune,
 #      retrained, gdumb, ewc, lwf in that order, every accuracy in [0, 1]
 #  17. the reproduce gate: the first runs of the obs, fleet, quality,
-#      policy and wire gates must equal the committed results/ files
-#      byte for byte (BENCH_scenarios.json is committed at default scale
-#      and BENCH_fleet_large.json at 10k devices, so neither is compared)
+#      policy and wire gates, plus one `repro faults --quick` run, must
+#      equal the committed results/ files byte for byte — seven files
+#      (BENCH_scenarios.json is committed at default scale and
+#      BENCH_fleet_large.json at 10k devices, so neither is compared)
 #  18. the example gate: `cargo run --release --example magneto_platform`
 #      must complete its federated round on a two-device fleet
 #  19. the perfbench gate: build and test the perfbench package
@@ -358,8 +359,10 @@ EOF
 # --- reproduce gate --------------------------------------------------------
 
 step "committed --quick outputs reproduce byte for byte"
+repro faults --quick --out "$obs_dir/x1"
 for out in t1/BENCH_obs.json f1/BENCH_fleet.json q1/BENCH_quality.json \
-           q1/trace_quality.json p1/BENCH_policy.json w1/BENCH_wire.json; do
+           q1/trace_quality.json p1/BENCH_policy.json w1/BENCH_wire.json \
+           x1/BENCH_faults.json; do
   cmp "$obs_dir/$out" "results/$(basename "$out")"
 done
 

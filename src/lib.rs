@@ -62,20 +62,19 @@ pub mod prelude {
     pub use pilote_core::pairs::PairScheme;
     pub use pilote_core::{
         accuracy, select_exemplars, AccuracyMatrix, ConfusionMatrix, EmbeddingNet, Method,
-        NcmClassifier, NetConfig, AdaptiveThresholds, Pilote, PiloteConfig, QualityMonitor,
-        QualityReport, QualityThresholds, SelectionStrategy, SessionRecord, SessionSummary,
-        SupportSet, TaskGroup,
+        NcmClassifier, NetConfig, Pilote, PiloteConfig, QualityMonitor, QualityReport,
+        SelectionStrategy, SessionRecord, SessionSummary, SupportSet, TaskGroup,
     };
     pub use pilote_edge_sim::{
         CrashPlan, DeviceProfile, FaultPlan, FlakyLink, LatencyMeter, LinkFaultRates, LinkModel,
-        MemoryBudget, RetryPolicy, SensorFaultInjector, SensorFaultRates,
+        MemoryBudget, SensorFaultInjector, SensorFaultRates,
     };
     pub use pilote_magneto::{
         CloudServer, EdgeDevice, EdgeError, FederatedError, Fleet, FleetConfig, FleetPolicy,
-        FleetStats, PolicyConfig, ScenarioRollup, TelemetryRollup, UpdateStatus,
+        FleetStats, ScenarioRollup, TelemetryRollup, UpdateStatus,
     };
     pub use pilote_har_data::dataset::generate_features;
-    pub use pilote_har_data::{Activity, Dataset, Simulator, SimulatorConfig, FEATURE_DIM};
+    pub use pilote_har_data::{Activity, Dataset, Simulator, FEATURE_DIM};
     pub use pilote_nn::loss::ContrastiveForm;
     pub use pilote_tensor::{Rng64, Tensor};
 }

@@ -15,8 +15,7 @@
 
 use pilote::core::UpdateStage;
 use pilote::edge_sim::faults::{
-    CrashPlan, FlakyLink, LinkFaultRates, RetryPolicy, SensorFaultInjector, SensorFaultKind,
-    SensorFaultRates,
+    CrashPlan, FlakyLink, LinkFaultRates, SensorFaultInjector, SensorFaultKind, SensorFaultRates,
 };
 use pilote::har_data::features::extract_batch;
 use pilote::har_data::sensors::WINDOW_LEN;
@@ -299,7 +298,6 @@ fn fixed_seed_matrix() {
         DeviceProfile::budget_phone(),
         &fixture().deployment,
         &mut flaky,
-        &RetryPolicy::default_edge(),
     );
     assert!(flaky.attempts() >= 1);
     if let Ok(dev) = &installed {

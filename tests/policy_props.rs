@@ -20,8 +20,7 @@
 //! test serialises on [`CONFIG_LOCK`], same as `tests/fleet_props.rs`.
 
 use pilote::magneto::{
-    federated_average, Deployment, EventKind, ExclusionReason, Fleet, FleetConfig, PolicyConfig,
-    RolloutStage,
+    federated_average, Deployment, EventKind, ExclusionReason, Fleet, FleetConfig, RolloutStage,
 };
 use pilote::nn::{Checkpoint, Layer};
 use pilote::prelude::*;
@@ -77,9 +76,7 @@ fn fixture_fleet(seed: u64, policy: bool) -> Fleet {
     let config = FleetConfig { seed, federated_every: 0, ..FleetConfig::default() };
     let mut fleet = Fleet::deploy(slots, &fx.deployment, config).expect("deploy");
     if policy {
-        fleet
-            .enable_policy(PolicyConfig::default(), fx.deployment.clone())
-            .expect("enable policy");
+        fleet.enable_policy(fx.deployment.clone()).expect("enable policy");
     }
     fleet
 }
@@ -89,13 +86,9 @@ fn fixture_fleet(seed: u64, policy: bool) -> Fleet {
 fn policied_fleet(seed: u64) -> Fleet {
     let fx = fixture();
     let mut fleet = fixture_fleet(seed, false);
-    fleet
-        .arm_quality_monitors(&fx.probe, &fx.old_labels, QualityThresholds::default())
-        .expect("arm");
-    fleet
-        .enable_policy(PolicyConfig::default(), fx.deployment.clone())
-        .expect("enable policy");
-    fleet.set_adaptive_thresholds(AdaptiveThresholds::default());
+    fleet.arm_quality_monitors(&fx.probe, &fx.old_labels).expect("arm");
+    fleet.enable_policy(fx.deployment.clone()).expect("enable policy");
+    fleet.enable_adaptive_thresholds();
     fleet
 }
 

@@ -247,14 +247,7 @@ fn run_schedule(deployment: &Deployment, probe: &Dataset, new: &Dataset) -> Edge
     let mut device =
         EdgeDevice::install(DeviceProfile::flagship_phone(), deployment, &LinkModel::wifi())
             .expect("install");
-    device
-        .arm_quality_monitor_with_sessions(
-            probe.clone(),
-            &base,
-            QualityThresholds::default(),
-            tasks,
-        )
-        .expect("arm");
+    device.arm_quality_monitor_with_sessions(probe.clone(), &base, tasks).expect("arm");
     for i in 0..new.features.rows() {
         device.label_sample(Activity::Run.label(), Tensor::vector(new.features.row(i)));
     }
