@@ -125,10 +125,12 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<(), ReportError> {
         WireConfig::full(WirePrecision::I8),
         WireConfig::delta(WirePrecision::I8),
     ];
+    let json = JsonPricer::new(&deployment.checkpoint);
     let mut runs = Vec::with_capacity(configs.len());
     for cfg in configs {
         runs.push(run_config(
             cfg,
+            &json,
             &base.scenario.test,
             &deployment,
             new_label,
@@ -227,6 +229,7 @@ fn by_name<'a>(runs: &'a [ConfigRun], name: &str) -> &'a ConfigRun {
 #[allow(clippy::too_many_arguments)]
 fn run_config(
     wire: WireConfig,
+    json: &JsonPricer,
     eval: &Dataset,
     deployment: &Deployment,
     new_label: usize,
@@ -276,7 +279,7 @@ fn run_config(
         // downloads the merge, both priced at serialised-JSON length.
         for i in 0..fleet.len() {
             let ckpt = Checkpoint::capture(fleet.device_mut(i).model_mut().net_mut().layers_mut());
-            json_federated_bytes += ckpt.to_json().len() as u64 * 2;
+            json_federated_bytes += json.len(&ckpt) * 2;
         }
         fleet.federated_round().expect("federated round");
     }
@@ -301,9 +304,67 @@ fn run_config(
     }
 }
 
+/// Prices a checkpoint at the length of its `Checkpoint::to_json()` text
+/// (the pre-codec accounting) without building that 8 MB string. The
+/// vendored serializer writes a finite f32 as its `{}` text, plus `.0`
+/// when that text has no `.`, and a non-finite one as `null`. Every other
+/// byte (keys, shapes, brackets, commas) depends only on the architecture,
+/// so it is measured once, from an all-zero copy whose every value is
+/// written `0.0`.
+struct JsonPricer {
+    shapes: Vec<Vec<usize>>,
+    /// Bytes of the JSON text that are not parameter values.
+    structural: u64,
+}
+
+impl JsonPricer {
+    fn new(architecture: &Checkpoint) -> Self {
+        let mut zeroed = architecture.clone();
+        for p in &mut zeroed.params {
+            p.as_mut_slice().fill(0.0);
+        }
+        let values = zeroed.param_count() as u64;
+        let structural = zeroed.to_json().len() as u64 - 3 * values;
+        JsonPricer { shapes: zeroed.shapes, structural }
+    }
+
+    /// `ckpt.to_json().len()`, for a checkpoint of the measured architecture.
+    fn len(&self, ckpt: &Checkpoint) -> u64 {
+        assert_eq!(ckpt.shapes, self.shapes, "priced a checkpoint of another architecture");
+        let values: u64 =
+            ckpt.params.iter().flat_map(|p| p.as_slice()).map(|&v| f32_json_len(v)).sum();
+        self.structural + values
+    }
+}
+
+/// Bytes the vendored serializer writes for one f32.
+fn f32_json_len(v: f32) -> u64 {
+    use std::fmt::Write;
+    /// Counts the text of a `{}` without storing it.
+    struct Count {
+        len: u64,
+        dot: bool,
+    }
+    impl Write for Count {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.len += s.len() as u64;
+            self.dot |= s.contains('.');
+            Ok(())
+        }
+    }
+    if !v.is_finite() {
+        return "null".len() as u64;
+    }
+    let mut text = Count { len: 0, dot: false };
+    write!(text, "{v}").expect("counting never fails");
+    text.len + if text.dot { 0 } else { ".0".len() as u64 }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pilote_core::{EmbeddingNet, NetConfig};
+    use pilote_nn::persist::CHECKPOINT_VERSION;
 
     fn tiny(per_activity: usize) -> Scale {
         Scale {
@@ -336,6 +397,35 @@ mod tests {
             "unexpected panic: {message}"
         );
         assert!(!switch_after, "a panicking runner must restore the kill switch");
+    }
+
+    /// The counted length equals `to_json().len()` on a captured network,
+    /// priced from another network of the same architecture, and on values
+    /// whose text takes every form: integral, signed zero, fractional,
+    /// huge, subnormal, the largest finite, and non-finite.
+    #[test]
+    fn json_pricing_equals_the_serialised_length() {
+        let mut net = EmbeddingNet::new(NetConfig::small(), &mut Rng64::new(1));
+        let mut other = EmbeddingNet::new(NetConfig::small(), &mut Rng64::new(2));
+        let captured = Checkpoint::capture(net.layers_mut());
+        let pricer = JsonPricer::new(&Checkpoint::capture(other.layers_mut()));
+        assert_eq!(pricer.len(&captured), captured.to_json().len() as u64);
+
+        let odd = Tensor::vector(&[
+            0.0,
+            -0.0,
+            1.0,
+            0.1,
+            1e30,
+            f32::from_bits(1),
+            f32::MAX,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ]);
+        let odd =
+            Checkpoint { version: CHECKPOINT_VERSION, shapes: vec![vec![10]], params: vec![odd] };
+        assert_eq!(JsonPricer::new(&odd).len(&odd), odd.to_json().len() as u64);
     }
 
     /// Acceptance check: two runs at the same seed must produce the same

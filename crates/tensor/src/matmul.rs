@@ -1,17 +1,23 @@
 //! Matrix multiplication.
 //!
 //! All three matrix–matrix products (`matmul`, `matmul_t`, `t_matmul`) are
-//! thin shape-checking wrappers around the one packed, register-tiled
-//! kernel in [`crate::pack`]: operands are packed into contiguous panels
-//! (a transposed operand is just a different packing gather, not a separate
-//! loop nest) and each `MR × NR` output tile is accumulated in registers
-//! over the full `k` extent in fixed ascending-`k` order. Layout details
-//! and the performance model live in `docs/KERNELS.md`.
+//! thin shape-checking wrappers around the GEMM in [`crate::pack`]. A
+//! product whose output is one row block (`m` no taller than the active
+//! SIMD tier's register tile) and whose right-hand side is read plain
+//! (`matmul`, `t_matmul`) takes the row kernel, which streams B in place.
+//! Every other product takes the packed, register-tiled kernel: operands
+//! are packed into contiguous panels (a transposed operand is just a
+//! different packing gather, not a separate loop nest) and each `MR × NR`
+//! output tile is accumulated in registers over the full `k` extent. Both
+//! paths accumulate each output element in fixed ascending-`k` order with
+//! the same `mul`-then-`add` chain, so they agree bit for bit. Layout
+//! details and the performance model live in `docs/KERNELS.md`.
 //!
-//! All kernels are parallelised over contiguous bands of *output rows* via
-//! [`crate::parallel`]. Each output element is accumulated in ascending `k`
-//! order by exactly one thread, so results are bitwise-identical at every
-//! thread count (see `docs/THREADING.md`).
+//! The packed kernel is parallelised over contiguous bands of *output
+//! rows* via [`crate::parallel`]; the row kernel runs on the calling
+//! thread. Each output element is accumulated in ascending `k` order by
+//! exactly one thread, so results are bitwise-identical at every thread
+//! count (see `docs/THREADING.md`).
 //!
 //! Zeros in either operand are **not** skipped: `0 · NaN` must stay `NaN`
 //! and `0 · ∞` must stay `NaN`, so a non-finite value planted in one
@@ -148,7 +154,8 @@ impl Tensor {
     /// `selfᵀ @ other` without materialising the transpose.
     ///
     /// Backprop's weight-gradient pattern (`dW = Xᵀ @ dY`); the transpose
-    /// is absorbed into the A-panel packing gather.
+    /// is absorbed into the A-panel packing gather, or into the row
+    /// kernel's reads of A when the output is one row block.
     pub fn t_matmul(&self, other: &Tensor) -> Result<Tensor> {
         if self.rank() != 2 || other.rank() != 2 {
             return Err(TensorError::RankMismatch {

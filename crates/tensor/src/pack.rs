@@ -1,32 +1,47 @@
-//! Panel packing and the register-tiled GEMM microkernel.
+//! Panel packing, the register-tiled GEMM microkernel, and the row kernel
+//! for products of a single row block.
 //!
 //! Every matrix product in the workspace ([`matmul`], [`matmul_t`],
-//! [`t_matmul`] and the fused [`pairwise_sq_dists`] epilogue) routes
-//! through one packed kernel:
+//! [`t_matmul`] and the fused [`pairwise_sq_dists`] epilogue) enters
+//! through one GEMM entry point, which takes one of two paths:
 //!
 //! [`matmul`]: crate::Tensor::matmul
 //! [`matmul_t`]: crate::Tensor::matmul_t
 //! [`t_matmul`]: crate::Tensor::t_matmul
 //! [`pairwise_sq_dists`]: crate::Tensor::pairwise_sq_dists
 //!
-//! 1. **Pack B** once per call into `⌈n/NR⌉` column panels of `k × NR`
-//!    contiguous floats (`bp[panel][kk·NR + j]`), zero-padded on the last
-//!    panel. A transposed right-hand side is just a different gather order
-//!    here — there is no separate loop nest per transpose variant.
-//! 2. **Pack A** per `MR`-row block into an `MR × k` panel laid out
-//!    `ap[kk·MR + i]`, again zero-padded, so the microkernel reads both
-//!    operands with unit stride.
-//! 3. The **microkernel** accumulates an `MR × NR` tile in registers over
-//!    the *entire* `k` extent in one fixed ascending-`k` chain of
-//!    `acc += a·b` updates, then an optional epilogue maps the tile before
-//!    it is stored.
+//! * **Row kernel**, when the whole output is one row block (`m ≤ MR` of
+//!   the active tier) and B is read plain — every `Dense::forward` at
+//!   serving shapes. One row block would read each packed B panel exactly
+//!   once, so packing would only copy B to read it back; the row kernel
+//!   streams each row of B once, in place, and adds `a(i, kk)·b(kk, :)`
+//!   into output rows held in L1, `kk` ascending. It runs on the calling
+//!   thread.
+//! * **Packed tiles**, for everything else, including every transposed B
+//!   (reading one in place would be a strided gather):
+//!   1. **Pack B** once per call into `⌈n/NR⌉` column panels of `k × NR`
+//!      contiguous floats (`bp[panel][kk·NR + j]`), zero-padded on the
+//!      last panel. A transposed right-hand side is just a different
+//!      gather order here — there is no separate loop nest per transpose
+//!      variant.
+//!   2. **Pack A** per `MR`-row block into an `MR × k` panel laid out
+//!      `ap[kk·MR + i]`, again zero-padded, so the microkernel reads both
+//!      operands with unit stride.
+//!   3. The **microkernel** accumulates an `MR × NR` tile in registers
+//!      over the *entire* `k` extent in one fixed ascending-`k` chain of
+//!      `acc += a·b` updates, then an optional epilogue maps the tile
+//!      before it is stored.
 //!
 //! # Determinism
 //!
 //! Each output element's value is produced by exactly one ascending-`k`
-//! sequence of `mul` + `add` operations (never a fused multiply-add, never
-//! a split accumulator), so the result is bitwise identical
+//! sequence of `mul` + `add` operations starting from `0` (never a fused
+//! multiply-add, never a split accumulator), so the result is bitwise
+//! identical
 //!
+//! * on both paths — the row kernel's output row and the tile's register
+//!   run the same chain, so a row's bits do not depend on how many rows
+//!   share its call (`tests/kernel_props.rs`);
 //! * at every thread count — bands only choose *which* tile a row lands
 //!   in, never the per-element operation sequence (`docs/THREADING.md`);
 //! * at every tile shape — zero padding contributes `acc + (±0·b)`
@@ -39,17 +54,17 @@
 //!
 //! # SIMD dispatch
 //!
-//! The kernel instantiation is chosen once per process: AVX-512F (8×32
-//! tile), AVX2 (6×16), or the portable autovectorised fallback (4×16).
-//! `PILOTE_SIMD` (`avx512` | `avx2` | `baseline` | `auto`) caps the tier,
-//! e.g. for cross-tier byte-comparison; an unrecognised value warns once on
-//! stderr and falls back to auto-detection. [`active_simd`] reports the
-//! selected tier.
+//! The kernel instantiations are chosen once per process: AVX-512F (8×32
+//! tile), AVX2 (6×16), or the portable autovectorised fallback (4×16),
+//! each with its own row kernel. `PILOTE_SIMD` (`avx512` | `avx2` |
+//! `baseline` | `auto`) caps the tier, e.g. for cross-tier
+//! byte-comparison; an unrecognised value warns once on stderr and falls
+//! back to auto-detection. [`active_simd`] reports the selected tier.
 
 use crate::parallel;
 use std::sync::OnceLock;
 
-/// SIMD tier the packed kernel dispatches to, selected once per process.
+/// SIMD tier the GEMM kernels dispatch to, selected once per process.
 ///
 /// Results are bitwise identical across tiers (the vector kernels use the
 /// same per-element `mul`/`add` chain as the scalar fallback — no FMA
@@ -103,7 +118,7 @@ fn parse_simd(raw: &str) -> Result<Option<Simd>, ()> {
     }
 }
 
-/// The SIMD tier every packed kernel in this process dispatches to:
+/// The SIMD tier every GEMM kernel in this process dispatches to:
 /// the highest tier the host supports, optionally capped by `PILOTE_SIMD`
 /// (read once, at the first kernel invocation).
 pub fn active_simd() -> Simd {
@@ -162,6 +177,16 @@ impl<'a> Operand<'a> {
     pub(crate) fn transposed(data: &'a [f32], ld: usize) -> Self {
         Operand { data, ld, transposed: true }
     }
+
+    /// Logical element `(r, c)`.
+    #[inline(always)]
+    fn at(&self, r: usize, c: usize) -> f32 {
+        if self.transposed {
+            self.data[c * self.ld + r]
+        } else {
+            self.data[r * self.ld + c]
+        }
+    }
 }
 
 /// Per-tile epilogue applied to the accumulator before it is stored.
@@ -179,6 +204,19 @@ pub(crate) enum Epilogue<'a> {
         /// Per-row squared norms of the right operand (`len == n`).
         y_sq: &'a [f32],
     },
+}
+
+impl Epilogue<'_> {
+    /// Maps the finished dot products of output row `r`, columns
+    /// `[j0, j0 + row.len())`, in place.
+    fn apply(self, r: usize, j0: usize, row: &mut [f32]) {
+        if let Epilogue::SqDist { x_sq, y_sq } = self {
+            let xs = x_sq[r];
+            for (o, &ys) in row.iter_mut().zip(&y_sq[j0..]) {
+                *o = (xs + ys - 2.0 * *o).max(0.0);
+            }
+        }
+    }
 }
 
 /// Packs the `⌈n/NR⌉` column panels of `b` (`k × n` logical), zero-padding
@@ -337,6 +375,94 @@ unsafe fn mk_avx512(ap: &[f32], bp: &[f32], k: usize, acc: &mut [[f32; 32]; 8]) 
 type Microkernel<const MR: usize, const NR: usize> =
     unsafe fn(&[f32], &[f32], usize, &mut [[f32; NR]; MR]);
 
+/// Output columns per strip of the row kernel. A strip of every output row
+/// (at most 8 × 256 floats, 8 KB) stays in L1 for the whole `k` loop, and
+/// each B row segment it reads is a contiguous run of up to 1 KB, long
+/// enough for the hardware prefetchers.
+const ROW_STRIP: usize = 256;
+
+/// The single-row-block body: `out = A·B` for an A of at most `MR` rows
+/// (either orientation) and a plain B read in place, one strip of output
+/// columns at a time. For each `kk` in ascending order it adds
+/// `a(i, kk)·b(kk, j)` into the output rows, so every element is the same
+/// `0 + a·b + a·b …` chain of `mul` then `add` as the register tile's
+/// accumulator, bit for bit. Four consecutive `kk` share one pass over the
+/// output rows, so each output value makes one round trip through L1 per
+/// four steps of its chain. Like [`microkernel_impl`], the
+/// `#[target_feature]` wrappers below only widen the registers.
+#[inline(always)]
+fn rows_impl(a: Operand<'_>, b: Operand<'_>, (m, k, n): (usize, usize, usize), out: &mut [f32]) {
+    debug_assert!(!b.transposed, "the row kernel reads B in place");
+    out.fill(0.0);
+    for j0 in (0..n).step_by(ROW_STRIP) {
+        let w = ROW_STRIP.min(n - j0);
+        let b_seg = |kk: usize| &b.data[kk * b.ld + j0..][..w];
+        let mut kk = 0;
+        while kk + 4 <= k {
+            let (b0, b1, b2, b3) = (b_seg(kk), b_seg(kk + 1), b_seg(kk + 2), b_seg(kk + 3));
+            for i in 0..m {
+                let (a0, a1, a2, a3) =
+                    (a.at(i, kk), a.at(i, kk + 1), a.at(i, kk + 2), a.at(i, kk + 3));
+                let row = &mut out[i * n + j0..][..w];
+                for ((((o, &x0), &x1), &x2), &x3) in row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
+                {
+                    *o = *o + a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3;
+                }
+            }
+            kk += 4;
+        }
+        for kk in kk..k {
+            let b0 = b_seg(kk);
+            for i in 0..m {
+                let a0 = a.at(i, kk);
+                for (o, &x0) in out[i * n + j0..][..w].iter_mut().zip(b0) {
+                    *o += a0 * x0;
+                }
+            }
+        }
+    }
+}
+
+/// Portable instantiation of [`rows_impl`]; `unsafe fn` only to share the
+/// signature of the feature-gated ones.
+unsafe fn rows_baseline(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    dims: (usize, usize, usize),
+    out: &mut [f32],
+) {
+    rows_impl(a, b, dims, out)
+}
+
+/// AVX2 instantiation of [`rows_impl`].
+///
+/// # Safety
+/// The caller must ensure the host supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn rows_avx2(a: Operand<'_>, b: Operand<'_>, dims: (usize, usize, usize), out: &mut [f32]) {
+    rows_impl(a, b, dims, out)
+}
+
+/// AVX-512F instantiation of [`rows_impl`].
+///
+/// # Safety
+/// The caller must ensure the host supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn rows_avx512(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    dims: (usize, usize, usize),
+    out: &mut [f32],
+) {
+    rows_impl(a, b, dims, out)
+}
+
+/// A single-row-block kernel: `(a, b, (m, k, n), out)`. Unsafe for the
+/// same reason as [`Microkernel`].
+type RowKernel = unsafe fn(Operand<'_>, Operand<'_>, (usize, usize, usize), &mut [f32]);
+
 /// Runs the packed kernel over one contiguous band of output rows
 /// `[row0, row0 + band.len()/n)`, tiling the band into `MR × NR` register
 /// tiles. `bp` is the shared pre-packed B; A panels are packed into the
@@ -367,32 +493,48 @@ fn band_gemm<const MR: usize, const NR: usize>(
             // SAFETY: `mk` is only ever a kernel whose required target
             // features were verified by `active_simd()` at dispatch.
             unsafe { mk(&ap, panel, k, &mut acc) };
-            for i in 0..mrows {
+            for (i, acc_row) in acc.iter().enumerate().take(mrows) {
                 let out_row = &mut band[(bi + i) * n + j0..(bi + i) * n + j0 + w];
-                match epilogue {
-                    Epilogue::None => out_row.copy_from_slice(&acc[i][..w]),
-                    Epilogue::SqDist { x_sq, y_sq } => {
-                        let xs = x_sq[row0 + bi + i];
-                        for (j, o) in out_row.iter_mut().enumerate() {
-                            *o = (xs + y_sq[j0 + j] - 2.0 * acc[i][j]).max(0.0);
-                        }
-                    }
-                }
+                out_row.copy_from_slice(&acc_row[..w]);
+                epilogue.apply(row0 + bi + i, j0, out_row);
             }
         }
         bi += mrows;
     }
 }
 
+#[allow(clippy::too_many_arguments)] // internal driver; the arguments are the GEMM
 fn drive<const MR: usize, const NR: usize>(
     a: Operand<'_>,
     b: Operand<'_>,
-    (_m, k, n): (usize, usize, usize),
+    dims: (usize, usize, usize),
     threads: usize,
     epilogue: Epilogue<'_>,
     out: &mut [f32],
     mk: Microkernel<MR, NR>,
+    rows: RowKernel,
 ) {
+    let (m, k, n) = dims;
+    if m <= MR && !b.transposed {
+        // One row block reads every B panel exactly once, so packing would
+        // copy B only to read it back: stream it in place instead. A
+        // transposed B still packs, since reading it in place would gather
+        // with stride `ld`.
+        // SAFETY: `rows` is only ever a kernel whose required target
+        // features were verified by `active_simd()` at dispatch.
+        unsafe { rows(a, b, dims, out) };
+        // The shared chain fixes every bit of every number, and a chain
+        // that meets a NaN ends in one. Which payload survives when two
+        // NaNs meet depends on each instruction's operand order, which the
+        // compiler picks per kernel, so a product holding a NaN is redone
+        // on the packed tiles and keeps their payloads.
+        if !out.iter().fold(false, |nan, v| nan | v.is_nan()) {
+            for (r, row) in out.chunks_mut(n).enumerate() {
+                epilogue.apply(r, 0, row);
+            }
+            return;
+        }
+    }
     let bp = pack_b::<NR>(b, k, n);
     parallel::for_each_band(out, n, threads, |row0, band| {
         band_gemm::<MR, NR>(a, &bp, k, n, row0, band, epilogue, mk);
@@ -436,13 +578,15 @@ pub(crate) fn gemm_with(
     match simd {
         #[cfg(target_arch = "x86_64")]
         Simd::Avx512 if is_x86_feature_detected!("avx512f") => {
-            drive::<8, 32>(a, b, dims, threads, epilogue, out, mk_avx512)
+            drive::<8, 32>(a, b, dims, threads, epilogue, out, mk_avx512, rows_avx512)
         }
         #[cfg(target_arch = "x86_64")]
         Simd::Avx2 if is_x86_feature_detected!("avx2") => {
-            drive::<6, 16>(a, b, dims, threads, epilogue, out, mk_avx2)
+            drive::<6, 16>(a, b, dims, threads, epilogue, out, mk_avx2, rows_avx2)
         }
-        _ => drive::<4, 16>(a, b, dims, threads, epilogue, out, mk_baseline),
+        _ => {
+            drive::<4, 16>(a, b, dims, threads, epilogue, out, mk_baseline, rows_baseline)
+        }
     }
 }
 
@@ -487,7 +631,21 @@ mod tests {
     #[test]
     fn simd_tiers_agree_bitwise() {
         let mut rng = Rng64::new(11);
-        for &(m, k, n) in &[(1usize, 1usize, 1usize), (7, 63, 9), (33, 65, 37), (64, 64, 64)] {
+        // The serving shapes (one window through the first two layers, a
+        // full 8-window session) and small odd ones: a tier takes the row
+        // kernel when `m` fits its `MR`, the packed tiles otherwise.
+        let shapes = [
+            (1usize, 1usize, 1usize),
+            (7, 63, 9),
+            (33, 65, 37),
+            (64, 64, 64),
+            (1, 80, 1024),
+            (1, 1024, 512),
+            (5, 65, 33),
+            (8, 1024, 512),
+            (3, 0, 7),
+        ];
+        for (m, k, n) in shapes {
             let a = Tensor::randn([m, k], 0.0, 1.0, &mut rng);
             let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
             let tiers = supported_tiers();
@@ -496,6 +654,40 @@ mod tests {
                 let got = gemm_plain(tier, &a, &b, 1);
                 let same = got.iter().zip(&reference).all(|(x, y)| x.to_bits() == y.to_bits());
                 assert!(same, "tier {:?} diverged from {:?} on ({m},{k},{n})", tier, tiers[0]);
+            }
+        }
+    }
+
+    /// When two NaNs meet in one chain, the payload that survives is the
+    /// packed tiles' on every path: the row kernel's product at m = 1
+    /// equals, bit for bit, the same row inside a 9-row (packed) product.
+    /// The two cases are a default NaN (`∞·0`) met by a planted one, and a
+    /// NaN in A multiplied by a NaN of another payload in B.
+    #[test]
+    fn nan_payloads_do_not_depend_on_the_path() {
+        for k in [2usize, 5] {
+            for case in 0..2 {
+                let mut a = vec![0.0f32; 9 * k];
+                let mut b = vec![0.0f32; k * 17];
+                if case == 0 {
+                    (a[0], a[1], b[17]) = (f32::INFINITY, 1.0, f32::NAN);
+                } else {
+                    (a[0], b[0]) = (f32::from_bits(0x7fc0_0001), f32::from_bits(0x7fc0_0002));
+                }
+                let a = Tensor::from_vec(a, [9, k]).unwrap();
+                let b = Tensor::from_vec(b, [k, 17]).unwrap();
+                let one = a.select_rows(&[0]).unwrap();
+                for tier in supported_tiers() {
+                    let alone = gemm_plain(tier, &one, &b, 1);
+                    let packed = gemm_plain(tier, &a, &b, 1);
+                    assert!(alone[0].is_nan(), "case {case}, k = {k}: {tier:?}");
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&alone),
+                        bits(&packed[..17]),
+                        "case {case}, k = {k}: {tier:?}"
+                    );
+                }
             }
         }
     }

@@ -58,6 +58,11 @@
 #  19. the perfbench gate: build and test the perfbench package
 #      (perfbench/Cargo.toml, outside the workspace), so a change to an
 #      API it imports fails here rather than at benchmark time
+#  20. the SIMD tier matrix (docs/KERNELS.md): the pilote-tensor tests
+#      and the kernel property suite again under PILOTE_SIMD=avx2 and
+#      under PILOTE_SIMD=baseline, so every tier's row kernel and packed
+#      tiles are checked; a cap above the host's tier changes nothing, so
+#      the step is safe on any host
 #
 # Usage: ./scripts/ci.sh   (from anywhere; cd's to the repo root)
 
@@ -376,5 +381,13 @@ grep -qx 'federated: round 1 complete across 2 devices' "$obs_dir/magneto_platfo
 
 step "perfbench: the benchmark package builds and its tests pass"
 cargo test --release --manifest-path perfbench/Cargo.toml -q
+
+# --- SIMD tier matrix (docs/KERNELS.md) -----------------------------------
+
+for tier in avx2 baseline; do
+  step "kernels at PILOTE_SIMD=$tier: pilote-tensor tests and the kernel property suite"
+  PILOTE_SIMD="$tier" cargo test --release -p pilote-tensor -q
+  PILOTE_SIMD="$tier" cargo test --release --test kernel_props -q
+done
 
 printf '\nci.sh: all gates passed\n'

@@ -3,7 +3,9 @@
 //! reference on adversarial shapes, bitwise identity with the pre-packing
 //! serial loop, NaN/Inf propagation (no zero-skip), and byte-identity of
 //! the fused `pairwise_sq_dists` epilogue against the unfused two-pass
-//! form at `PILOTE_THREADS` 1 vs 4.
+//! form at `PILOTE_THREADS` 1 vs 4, and row independence: a row's bits do
+//! not depend on how many rows share its call, whether the call takes the
+//! single-row-block kernel or the packed tiles.
 //!
 //! Shape strategy notes: the packed kernel's edge cases live at panel
 //! boundaries — `m` around the `MR` register-tile height (4/6/8 per SIMD
@@ -68,6 +70,11 @@ const ADVERSARIAL: &[(usize, usize, usize)] = &[
     (3, 1, 49),
     (17, 129, 2),
 ];
+
+/// Chain lengths for `row_bits_do_not_depend_on_batch_height`: empty, one
+/// step, both sides of 64 (so the row kernel's four-step groups end with
+/// and without a remainder), and a long chain.
+const ROW_DEPTHS: [usize; 6] = [0, 1, 63, 64, 65, 200];
 
 #[test]
 fn packed_matmul_matches_f64_reference_on_adversarial_shapes() {
@@ -196,6 +203,63 @@ proptest! {
                 unfused.as_slice(), reference.as_slice(),
                 "unfused diverged at {} threads", threads
             );
+        }
+        parallel::configure(saved);
+    }
+
+    /// A row's bits do not depend on how many rows share its call: every
+    /// row of an m-row product equals, bit for bit, the product of that
+    /// row alone. `m` sweeps 1..=17, across every tier's `MR` and
+    /// `2·MR + 1`, so each call lands on the single-row-block kernel or on
+    /// the packed tiles; `k` sweeps `ROW_DEPTHS`; `n` is never a multiple
+    /// of 16 and reaches past one 256-column strip. All four entry points,
+    /// at 1 and 4 threads. Batched serving (m = 8 windows per session
+    /// against m = 1 per window) relies on this.
+    #[test]
+    fn row_bits_do_not_depend_on_batch_height(
+        seed in 0u64..10_000,
+        n_panels in 0usize..18,
+        n_rem in 1usize..16,
+    ) {
+        const M: usize = 17;
+        let n = 16 * n_panels + n_rem;
+        let mut rng = Rng64::new(seed);
+        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let _guard = CONFIG_LOCK.lock().unwrap();
+        let saved = parallel::current();
+        for k in ROW_DEPTHS {
+            let x = Tensor::randn([M, k], 0.0, 1.0, &mut rng);
+            let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
+            let y = Tensor::randn([n, k], 0.0, 1.0, &mut rng);
+            // The four products of a `[rows, k]` left operand, in the order
+            // matmul, matmul_t, t_matmul (left operand stored transposed),
+            // pairwise_sq_dists.
+            let products = |a: &Tensor| {
+                [
+                    a.matmul(&b).unwrap(),
+                    a.matmul_t(&y).unwrap(),
+                    a.transpose().unwrap().t_matmul(&b).unwrap(),
+                    a.pairwise_sq_dists(&y).unwrap(),
+                ]
+            };
+            parallel::configure(ThreadConfig::serial());
+            let alone: Vec<_> =
+                (0..M).map(|i| products(&x.select_rows(&[i]).unwrap())).collect();
+            for threads in [1usize, 4] {
+                parallel::configure(ThreadConfig { num_threads: threads, min_parallel_len: 0 });
+                for m in 1..=M {
+                    let batch = products(&x.select_rows(&(0..m).collect::<Vec<_>>()).unwrap());
+                    for (op, product) in batch.iter().enumerate() {
+                        for (i, single) in alone.iter().enumerate().take(m) {
+                            prop_assert_eq!(
+                                bits(product.row(i)), bits(single[op].row(0)),
+                                "product {} row {} of m={} (k={}, n={}, {} threads)",
+                                op, i, m, k, n, threads
+                            );
+                        }
+                    }
+                }
+            }
         }
         parallel::configure(saved);
     }
