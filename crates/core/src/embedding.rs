@@ -37,9 +37,12 @@ impl EmbeddingNet {
     }
 
     /// Embeds a `[n, input_dim]` batch in inference mode (running batch
-    /// statistics).
+    /// statistics) through [`Layer::infer`]: the output of
+    /// `forward_mode(features, Mode::Eval)` bit for bit, with no
+    /// activation cache left behind, so a [`EmbeddingNet::backward`] after
+    /// it panics instead of backpropagating a stale batch.
     pub fn embed(&mut self, features: &Tensor) -> Tensor {
-        self.net.forward(features, Mode::Eval)
+        self.net.infer(features)
     }
 
     /// Training-mode forward (batch statistics); caches activations for

@@ -1,14 +1,14 @@
 //! Activation layers.
 
-use super::{Layer, Mode};
+use super::{bands, Layer, Mode};
 use pilote_tensor::Tensor;
 
 /// Rectified linear unit, `y = max(0, x)` (Nair & Hinton 2010) — the
 /// paper's activation for the first four layers.
 #[derive(Debug, Clone, Default)]
 pub struct ReLU {
-    /// Mask of positive inputs from the last forward (1.0 where x > 0).
-    mask: Option<Tensor>,
+    /// Which inputs of the last forward were positive, one flag per element.
+    mask: Option<Vec<bool>>,
 }
 
 impl ReLU {
@@ -18,15 +18,48 @@ impl ReLU {
     }
 }
 
+/// Row width for banding an element-wise pass over `t`: its last axis.
+fn width(t: &Tensor) -> usize {
+    t.shape().dims().last().copied().unwrap_or(1)
+}
+
 impl Layer for ReLU {
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        self.mask = Some(input.map(|x| if x > 0.0 { 1.0 } else { 0.0 }));
-        input.map(|x| x.max(0.0))
+        let d = width(input);
+        let x = input.as_slice();
+        let mut y = vec![0.0f32; x.len()];
+        let mut mask = vec![false; x.len()];
+        bands::rows2(&mut y, &mut mask, d, |i, y, mask| {
+            for ((o, m), &v) in y.iter_mut().zip(mask).zip(&x[i * d..][..d]) {
+                *o = v.max(0.0);
+                *m = v > 0.0;
+            }
+        });
+        self.mask = Some(mask);
+        Tensor::from_vec(y, input.shape().clone()).expect("relu output")
+    }
+
+    fn infer(&mut self, input: &Tensor) -> Tensor {
+        let out = self.forward(input, Mode::Eval);
+        self.mask = None;
+        out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let mask = self.mask.as_ref().expect("ReLU::backward called before forward");
-        grad_output.try_mul(mask).expect("ReLU mask shape")
+        assert_eq!(grad_output.len(), mask.len(), "ReLU mask shape");
+        let d = width(grad_output);
+        let dy = grad_output.as_slice();
+        let mut dx = vec![0.0f32; dy.len()];
+        // Masked by multiplying, not by selecting: a masked ±∞ or NaN
+        // gives NaN and a masked −1 gives −0.0.
+        bands::rows(&mut dx, d, |i, dx| {
+            let (dy, mask) = (&dy[i * d..][..d], &mask[i * d..][..d]);
+            for ((o, &g), &m) in dx.iter_mut().zip(dy).zip(mask) {
+                *o = g * if m { 1.0 } else { 0.0 };
+            }
+        });
+        Tensor::from_vec(dx, grad_output.shape().clone()).expect("relu dX")
     }
 
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {

@@ -1,8 +1,7 @@
 //! 1-D batch normalisation (Ioffe & Szegedy 2015), the paper's §6.1.2
 //! choice for the first four layers of the embedding network.
 
-use super::{Layer, Mode};
-use pilote_tensor::reduce::Axis;
+use super::{bands, Layer, Mode};
 use pilote_tensor::Tensor;
 
 /// Per-feature batch normalisation over a `[batch, features]` tensor.
@@ -28,8 +27,8 @@ pub struct BatchNorm1d {
 #[derive(Debug, Clone)]
 struct BnCache {
     x_hat: Tensor,
-    inv_std: Tensor,
-    batch: usize,
+    /// Per-column `s = 1/√(σ² + ε)` of the statistics the forward used.
+    inv_std: Vec<f32>,
     /// Whether the forward ran in training mode (affects backward formula).
     train: bool,
 }
@@ -70,75 +69,155 @@ impl BatchNorm1d {
     pub fn running_var(&self) -> &Tensor {
         &self.running_var
     }
+
+    /// The batch mean and population variance of `input`, per column, and
+    /// the running-statistics update they feed. The mean is
+    /// `(Σx as f32)·(1/n)` and the variance `(Σ(x − μ)² / n) as f32`, each
+    /// sum one row-ascending f64 chain: the values of `mean_axis` and
+    /// `var_axis`, with the mean taken once.
+    fn batch_stats(&mut self, input: &Tensor) -> (Vec<f32>, Vec<f32>) {
+        let (n, d) = (input.rows(), self.dim());
+        let x = input.as_slice();
+        let sums = bands::column_sums(n, d, 0.0f64, |i, cols, acc| {
+            for (a, &v) in acc.iter_mut().zip(&x[i * d..][cols]) {
+                *a += v as f64;
+            }
+        });
+        // An empty batch keeps the zero sums, as `mean_axis` does.
+        let mean: Vec<f32> = sums
+            .iter()
+            .map(|&s| if n == 0 { s as f32 } else { s as f32 * (1.0 / n as f32) })
+            .collect();
+        let squares = bands::column_sums(n, d, 0.0f64, |i, cols, acc| {
+            for ((a, &v), &mu) in acc.iter_mut().zip(&x[i * d..][cols.clone()]).zip(&mean[cols]) {
+                let dv = v as f64 - mu as f64;
+                *a += dv * dv;
+            }
+        });
+        let denom = n.max(1) as f64;
+        let var: Vec<f32> = squares.iter().map(|&s| (s / denom) as f32).collect();
+
+        // Update running stats (unbiased variance, as PyTorch does).
+        let unbias = if n > 1 { n as f32 / (n as f32 - 1.0) } else { 1.0 };
+        let m = self.momentum;
+        for (r, &b) in self.running_mean.as_mut_slice().iter_mut().zip(&mean) {
+            *r = (1.0 - m) * *r + m * b;
+        }
+        for (r, &b) in self.running_var.as_mut_slice().iter_mut().zip(&var) {
+            *r = (1.0 - m) * *r + m * b * unbias;
+        }
+        (mean, var)
+    }
+
+    /// The normalising pass: `x̂ = (x − μ)·s` and `y = x̂·γ + β` per
+    /// element, written together in row bands.
+    fn normalise(&self, input: &Tensor, mean: &[f32], inv_std: &[f32]) -> (Tensor, Tensor) {
+        let d = self.dim();
+        let (x, gamma, beta) = (input.as_slice(), self.gamma.as_slice(), self.beta.as_slice());
+        let (mean, s) = (&mean[..d], &inv_std[..d]);
+        let mut y = vec![0.0f32; x.len()];
+        let mut x_hat = vec![0.0f32; x.len()];
+        bands::rows2(&mut y, &mut x_hat, d, |i, y, x_hat| {
+            let x = &x[i * d..][..d];
+            for j in 0..d {
+                let h = (x[j] - mean[j]) * s[j];
+                x_hat[j] = h;
+                y[j] = h * gamma[j] + beta[j];
+            }
+        });
+        let shape = input.shape();
+        (
+            Tensor::from_vec(y, shape.clone()).expect("bn output"),
+            Tensor::from_vec(x_hat, shape.clone()).expect("bn x_hat"),
+        )
+    }
+
+    /// Per-column `s = 1/√(σ² + ε)`.
+    fn inv_std(&self, var: &[f32]) -> Vec<f32> {
+        let eps = self.eps;
+        var.iter().map(|&v| 1.0 / (v + eps).sqrt()).collect()
+    }
 }
 
 impl Layer for BatchNorm1d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        debug_assert_eq!(input.cols(), self.dim(), "BatchNorm1d: width mismatch");
-        let n = input.rows();
-        let (mean, var) = match mode {
-            Mode::Train => {
-                let mean = input.mean_axis(Axis::Rows).expect("bn mean");
-                let var = input.var_axis(Axis::Rows).expect("bn var");
-                // Update running stats (unbiased variance, as PyTorch does).
-                let unbias = if n > 1 { n as f32 / (n as f32 - 1.0) } else { 1.0 };
-                let m = self.momentum;
-                for (r, &b) in self.running_mean.as_mut_slice().iter_mut().zip(mean.as_slice()) {
-                    *r = (1.0 - m) * *r + m * b;
-                }
-                for (r, &b) in self.running_var.as_mut_slice().iter_mut().zip(var.as_slice()) {
-                    *r = (1.0 - m) * *r + m * b * unbias;
-                }
-                (mean, var)
-            }
-            Mode::Eval => (self.running_mean.clone(), self.running_var.clone()),
+        assert_eq!(input.cols(), self.dim(), "BatchNorm1d: width mismatch");
+        let batch = (mode == Mode::Train).then(|| self.batch_stats(input));
+        let (mean, var) = match &batch {
+            Some((mean, var)) => (mean.as_slice(), var.as_slice()),
+            None => (self.running_mean.as_slice(), self.running_var.as_slice()),
         };
-        let eps = self.eps;
-        let inv_std = var.map(|v| 1.0 / (v + eps).sqrt());
-        let x_hat = input.try_sub(&mean).expect("bn center").try_mul(&inv_std).expect("bn scale");
-        let out = x_hat.try_mul(&self.gamma).expect("bn gamma").try_add(&self.beta).expect("bn beta");
-        self.cache = Some(BnCache { x_hat, inv_std, batch: n, train: mode == Mode::Train });
+        let inv_std = self.inv_std(var);
+        let (out, x_hat) = self.normalise(input, mean, &inv_std);
+        self.cache = Some(BnCache { x_hat, inv_std, train: batch.is_some() });
+        out
+    }
+
+    fn infer(&mut self, input: &Tensor) -> Tensor {
+        let out = self.forward(input, Mode::Eval);
+        self.cache = None;
         out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let cache = self.cache.as_ref().expect("BatchNorm1d::backward called before forward");
-        let x_hat = &cache.x_hat;
-        let n = cache.batch as f32;
+        assert_eq!(grad_output.shape(), cache.x_hat.shape(), "BatchNorm1d: gradient shape");
+        let (m, d) = (grad_output.rows(), self.dim());
+        let (dy, x_hat) = (grad_output.as_slice(), cache.x_hat.as_slice());
+        let (gamma, s) = (&self.gamma.as_slice()[..d], &cache.inv_std[..d]);
+        let mut dx = vec![0.0f32; dy.len()];
 
-        // dβ += Σ_batch dY ; dγ += Σ_batch dY ⊙ x̂
-        let dbeta = grad_output.sum_axis(Axis::Rows).expect("dbeta");
-        let dgamma = grad_output
-            .try_mul(x_hat)
-            .expect("dY*xhat")
-            .sum_axis(Axis::Rows)
-            .expect("dgamma");
-        self.grad_beta.axpy(1.0, &dbeta).expect("dbeta acc");
-        self.grad_gamma.axpy(1.0, &dgamma).expect("dgamma acc");
-
-        // dx̂ = dY ⊙ γ
-        let dx_hat = grad_output.try_mul(&self.gamma).expect("dxhat");
-
-        if !cache.train {
-            // Eval mode: mean/var are constants, so dX = dx̂ ⊙ inv_std.
-            return dx_hat.try_mul(&cache.inv_std).expect("eval dX");
+        // Per column: Σ dY and Σ dY·x̂, the gradients of β and γ.
+        let sums: Vec<[f64; 2]> = if !cache.train {
+            // Eval mode: μ and σ² are constants, so dX = (dY·γ)·s.
+            bands::rows(&mut dx, d, |i, dx| {
+                let dy = &dy[i * d..][..d];
+                for j in 0..d {
+                    dx[j] = (dy[j] * gamma[j]) * s[j];
+                }
+            });
+            bands::column_sums(m, d, [0.0f64; 2], |i, cols, acc| {
+                let (dy, x_hat) = (&dy[i * d..][cols.clone()], &x_hat[i * d..][cols]);
+                for ((a, &g), &h) in acc.iter_mut().zip(dy).zip(x_hat) {
+                    a[0] += g as f64;
+                    a[1] += (g * h) as f64;
+                }
+            })
+        } else {
+            // Training mode — the batch statistics depend on x:
+            // dX = (((dx̂·n − Σdx̂) − x̂·Σ(dx̂·x̂))·s)·(1/n), with dx̂ = dY·γ.
+            let sums = bands::column_sums(m, d, [0.0f64; 4], |i, cols, acc| {
+                let gamma = &gamma[cols.clone()];
+                let (dy, x_hat) = (&dy[i * d..][cols.clone()], &x_hat[i * d..][cols]);
+                for (((a, &g), &h), &gm) in acc.iter_mut().zip(dy).zip(x_hat).zip(gamma) {
+                    let dxh = g * gm;
+                    a[0] += g as f64;
+                    a[1] += (g * h) as f64;
+                    a[2] += dxh as f64;
+                    a[3] += (dxh * h) as f64;
+                }
+            });
+            let sum_dxh: Vec<f32> = sums.iter().map(|a| a[2] as f32).collect();
+            let sum_dxh_xh: Vec<f32> = sums.iter().map(|a| a[3] as f32).collect();
+            let (sum_dxh, sum_dxh_xh) = (&sum_dxh[..d], &sum_dxh_xh[..d]);
+            let n = m as f32;
+            let inv_n = 1.0 / n;
+            bands::rows(&mut dx, d, |i, dx| {
+                let (dy, x_hat) = (&dy[i * d..][..d], &x_hat[i * d..][..d]);
+                for j in 0..d {
+                    let dxh = dy[j] * gamma[j];
+                    dx[j] = (((dxh * n - sum_dxh[j]) - x_hat[j] * sum_dxh_xh[j]) * s[j]) * inv_n;
+                }
+            });
+            sums.iter().map(|&[b, g, _, _]| [b, g]).collect()
+        };
+        // dβ += Σ dY ; dγ += Σ dY·x̂, as `g + d`: `axpy(1.0, …)`'s `g + 1.0·d`.
+        let grads = self.grad_beta.as_mut_slice().iter_mut().zip(self.grad_gamma.as_mut_slice());
+        for ((gb, gg), [b, g]) in grads.zip(sums) {
+            *gb += b as f32;
+            *gg += g as f32;
         }
-
-        // Training mode — the batch statistics depend on x:
-        // dX = inv_std/N · (N·dx̂ − Σdx̂ − x̂ ⊙ Σ(dx̂ ⊙ x̂))
-        let sum_dx_hat = dx_hat.sum_axis(Axis::Rows).expect("sum dxhat");
-        let sum_dx_hat_xhat = dx_hat
-            .try_mul(x_hat)
-            .expect("dxhat*xhat")
-            .sum_axis(Axis::Rows)
-            .expect("sum dxhat*xhat");
-        let term = dx_hat
-            .scale(n)
-            .try_sub(&sum_dx_hat)
-            .expect("term1")
-            .try_sub(&x_hat.try_mul(&sum_dx_hat_xhat).expect("term2"))
-            .expect("term sub");
-        term.try_mul(&cache.inv_std).expect("scale inv_std").scale(1.0 / n)
+        Tensor::from_vec(dx, grad_output.shape().clone()).expect("bn dX")
     }
 
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {

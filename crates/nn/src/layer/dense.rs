@@ -1,6 +1,6 @@
 //! Fully connected (affine) layer.
 
-use super::{Layer, Mode};
+use super::{bands, Layer, Mode};
 use pilote_tensor::{Rng64, Tensor};
 use pilote_tensor::reduce::Axis;
 
@@ -48,14 +48,31 @@ impl Dense {
     pub fn bias(&self) -> &Tensor {
         &self.bias
     }
+
+    /// `x W + b`, the bias added in place on the product: `dot + b` per
+    /// element, in row bands.
+    fn affine(&self, input: &Tensor) -> Tensor {
+        debug_assert_eq!(input.cols(), self.in_dim(), "Dense: input width mismatch");
+        let mut y = input.matmul(&self.weight).expect("shape checked above");
+        let bias = self.bias.as_slice();
+        bands::rows(y.as_mut_slice(), bias.len(), |_, row| {
+            for (o, &b) in row.iter_mut().zip(bias) {
+                *o += b;
+            }
+        });
+        y
+    }
 }
 
 impl Layer for Dense {
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        debug_assert_eq!(input.cols(), self.in_dim(), "Dense: input width mismatch");
         self.cached_input = Some(input.clone());
-        let y = input.matmul(&self.weight).expect("shape checked above");
-        y.try_add(&self.bias).expect("bias broadcast")
+        self.affine(input)
+    }
+
+    fn infer(&mut self, input: &Tensor) -> Tensor {
+        self.cached_input = None;
+        self.affine(input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

@@ -5,8 +5,23 @@
 //! gradients (so gradient contributions from several loss terms — e.g.
 //! PILOTE's distillation + contrastive joint objective — can be summed by
 //! simply calling `backward` more than once before the optimizer step).
+//!
+//! A forward that nothing will backpropagate goes through [`Layer::infer`]
+//! instead: it computes what `forward(x, Mode::Eval)` computes, bit for
+//! bit, but leaves no caches behind, dropping the ones the layer held, so
+//! a `backward` after it panics "called before forward" rather than
+//! backpropagating a stale batch. Serving, prototype refreshes and quality
+//! probes take this path. `Mode::Eval` cannot be the signal, because edge
+//! updates backpropagate through eval-mode batch normalisation.
+//!
+//! The element-wise passes around each GEMM — batch normalisation, ReLU
+//! and the bias add — write only their outputs and what `backward` needs,
+//! in the bands of `docs/THREADING.md`; `docs/KERNELS.md` ("The passes
+//! around the GEMM") gives what each writes and the expressions that keep
+//! every bit.
 
 mod activation;
+mod bands;
 mod batchnorm;
 mod dense;
 mod sequential;
@@ -33,6 +48,9 @@ pub enum Mode {
 /// Contract:
 /// * `forward` must be called before `backward`; `backward` consumes the
 ///   cached activations of the most recent `forward`.
+/// * `infer` returns `forward(x, Mode::Eval)`'s output bit for bit. In
+///   this crate's layers it leaves no caches behind, so a `backward`
+///   right after it panics.
 /// * `backward` **adds** into the parameter gradients; call [`Layer::zero_grad`]
 ///   before accumulating a fresh optimizer step.
 /// * `params_and_grads` yields `(parameter, gradient)` pairs in a stable
@@ -40,6 +58,14 @@ pub enum Mode {
 pub trait Layer: Send {
     /// Computes the layer output, caching intermediates for `backward`.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;
+
+    /// Inference: the output of `forward(input, Mode::Eval)`, for callers
+    /// that never backpropagate. Leaves no caches behind: drops any the
+    /// layer holds. The default runs `forward` itself and so leaves its
+    /// caches; every layer of this crate overrides it.
+    fn infer(&mut self, input: &Tensor) -> Tensor {
+        self.forward(input, Mode::Eval)
+    }
 
     /// Propagates `grad_output` (∂loss/∂output) back, returning
     /// ∂loss/∂input and accumulating parameter gradients.

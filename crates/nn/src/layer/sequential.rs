@@ -40,12 +40,6 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Forward pass without caching hazards for callers that only need
-    /// predictions (still mutates per-layer caches, but semantically eval).
-    pub fn predict(&mut self, input: &Tensor) -> Tensor {
-        self.forward(input, Mode::Eval)
-    }
-
     /// Snapshot of all parameter tensors (deep copies, stable order).
     pub fn state_dict(&mut self) -> Vec<Tensor> {
         self.params_and_grads().into_iter().map(|(p, _)| p.clone()).collect()
@@ -60,6 +54,21 @@ impl Sequential {
     }
 }
 
+/// Threads `input` through `layers` in the order given, each step
+/// `step(layer, x)`; the input itself is never copied unless there are no
+/// layers.
+fn chain<'a>(
+    layers: impl Iterator<Item = &'a mut Box<dyn Layer>>,
+    input: &Tensor,
+    mut step: impl FnMut(&mut dyn Layer, &Tensor) -> Tensor,
+) -> Tensor {
+    let mut x: Option<Tensor> = None;
+    for layer in layers {
+        x = Some(step(layer.as_mut(), x.as_ref().unwrap_or(input)));
+    }
+    x.unwrap_or_else(|| input.clone())
+}
+
 impl Clone for Sequential {
     fn clone(&self) -> Self {
         Sequential { layers: self.layers.clone() }
@@ -68,19 +77,15 @@ impl Clone for Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, mode);
-        }
-        x
+        chain(self.layers.iter_mut(), input, |layer, x| layer.forward(x, mode))
+    }
+
+    fn infer(&mut self, input: &Tensor) -> Tensor {
+        chain(self.layers.iter_mut(), input, |layer, x| layer.infer(x))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
+        chain(self.layers.iter_mut().rev(), grad_output, |layer, g| layer.backward(g))
     }
 
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {

@@ -52,7 +52,9 @@
 #      policy and wire gates, plus one `repro faults --quick` run, must
 #      equal the committed results/ files byte for byte — seven files
 #      (BENCH_scenarios.json is committed at default scale and
-#      BENCH_fleet_large.json at 10k devices, so neither is compared)
+#      BENCH_fleet_large.json at 10k devices, so neither is compared);
+#      then one `repro timing` run must equal results/timing.json in
+#      every field but `epoch_seconds_host`, which is host time
 #  18. the example gate: `cargo run --release --example magneto_platform`
 #      must complete its federated round on a two-device fleet
 #  19. the perfbench gate: build and test the perfbench package
@@ -370,6 +372,17 @@ for out in t1/BENCH_obs.json f1/BENCH_fleet.json q1/BENCH_quality.json \
            x1/BENCH_faults.json; do
   cmp "$obs_dir/$out" "results/$(basename "$out")"
 done
+
+step "repro timing: results/timing.json reproduces but for its host-time epoch"
+repro timing --out "$obs_dir/tm"
+python3 - "$obs_dir/tm/timing.json" results/timing.json << 'EOF'
+import json, sys
+got, want = (json.load(open(path)) for path in sys.argv[1:3])
+for run in (got, want):
+    run.pop("epoch_seconds_host")
+assert got == want, f"timing.json no longer reproduces: run {got}, committed {want}"
+print(f"timing gate: {len(got)} fields equal the committed results/timing.json")
+EOF
 
 # --- example gate ----------------------------------------------------------
 
