@@ -20,7 +20,6 @@ use pilote_har_data::features::extract_batch;
 use pilote_har_data::preprocess::Normalizer;
 use pilote_har_data::{Activity, Dataset, Simulator};
 use pilote_tensor::{Rng64, Tensor, TensorError};
-use std::time::Instant;
 
 /// One incremental-learning scenario.
 #[derive(Debug, Clone)]
@@ -146,10 +145,6 @@ pub struct ModelRun {
     pub old_accuracy: f32,
     /// Accuracy restricted to the new class.
     pub new_accuracy: f32,
-    /// Wall-clock seconds of the update.
-    pub seconds: f64,
-    /// Training epochs consumed.
-    pub epochs: usize,
 }
 
 /// Scores a classifier on the scenario's test set, its old classes and
@@ -162,8 +157,6 @@ pub(crate) fn evaluate(
         accuracy: accuracy(&scenario.test).expect("test eval"),
         old_accuracy: accuracy(&scenario.old_test()).expect("old eval"),
         new_accuracy: accuracy(&scenario.new_test()).expect("new eval"),
-        seconds: 0.0,
-        epochs: 0,
     }
 }
 
@@ -178,7 +171,7 @@ pub(crate) fn draw_new_data(scenario: &Scenario, n: usize, seed: u64) -> Dataset
 
 /// Runs one arm of the protocol: reseeds `model` with `round_seed`, draws
 /// `new_exemplars` new-class samples, updates the model with `method`
-/// (timed) and evaluates it.
+/// and evaluates it.
 pub fn run_arm(
     method: Method,
     model: &mut Pilote,
@@ -188,13 +181,10 @@ pub fn run_arm(
 ) -> (ModelRun, TrainReport) {
     model.reseed(round_seed);
     let new_data = draw_new_data(scenario, new_exemplars, round_seed);
-    let start = Instant::now();
     let report = method
         .update(model, &new_data, new_exemplars)
         .unwrap_or_else(|e| panic!("{} update: {e}", method.name()));
-    let seconds = start.elapsed().as_secs_f64();
-    let run = evaluate(scenario, |data| model.accuracy(data));
-    (ModelRun { seconds, epochs: report.epochs.len(), ..run }, report)
+    (evaluate(scenario, |data| model.accuracy(data)), report)
 }
 
 /// Activities the class-incremental fleet schedules pre-train on; the

@@ -11,8 +11,9 @@ fn repro() -> Command {
 /// Every runner the usage message must enumerate.
 const RUNNERS: &[&str] =
     &[
-        "all", "table2", "kernels", "faults", "obs", "fleet", "quality", "policy", "timing",
-        "cloud-vs-edge", "wire", "scenarios", "index",
+        "all", "table2", "fig4", "fig5", "fig6", "fig7", "timing", "ablate-alpha",
+        "ablate-margin", "ablate-pairs", "ablate-strategies", "cloud-vs-edge", "kernels",
+        "faults", "obs", "fleet", "quality", "policy", "wire", "scenarios", "index",
     ];
 
 #[test]

@@ -31,6 +31,22 @@ impl EmbeddingNet {
         EmbeddingNet { net, config }
     }
 
+    /// Shapes of the parameter tensors [`EmbeddingNet::new`] builds from
+    /// `config`, in checkpoint order, computed without allocating them: an
+    /// untrusted checkpoint is checked against this list before a network
+    /// is built for it.
+    pub fn param_shapes(config: &NetConfig) -> Vec<Vec<usize>> {
+        let mut shapes = Vec::with_capacity(4 * config.hidden.len() + 2);
+        let mut prev = config.input_dim;
+        for &width in &config.hidden {
+            // Dense weight and bias, then BatchNorm γ and β.
+            shapes.extend([vec![prev, width], vec![width], vec![width], vec![width]]);
+            prev = width;
+        }
+        shapes.extend([vec![prev, config.embedding_dim], vec![config.embedding_dim]]);
+        shapes
+    }
+
     /// The architecture this network was built from.
     pub fn config(&self) -> &NetConfig {
         &self.config
@@ -100,6 +116,7 @@ impl std::fmt::Debug for EmbeddingNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pilote_nn::Checkpoint;
 
     #[test]
     fn paper_architecture_parameter_count() {
@@ -110,6 +127,15 @@ mod tests {
         let dense = 80 * 1024 + 1024 + 1024 * 512 + 512 + 512 * 128 + 128 + 128 * 64 + 64 + 64 * 128 + 128;
         let bn = 2 * (1024 + 512 + 128 + 64);
         assert_eq!(net.param_count(), dense + bn);
+    }
+
+    #[test]
+    fn param_shapes_are_the_checkpoint_shapes_of_a_built_net() {
+        for cfg in [NetConfig::paper(), NetConfig::small()] {
+            let mut net = EmbeddingNet::new(cfg.clone(), &mut Rng64::new(4));
+            let built = Checkpoint::capture(net.layers_mut()).shapes;
+            assert_eq!(EmbeddingNet::param_shapes(&cfg), built, "{cfg:?}");
+        }
     }
 
     #[test]

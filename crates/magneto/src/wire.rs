@@ -32,10 +32,11 @@ use crate::cloud::{Deployment, ShippedPrototypes};
 use pilote_core::PiloteConfig;
 use pilote_core::config::NetConfig;
 use pilote_core::session_metrics::SessionRecord;
-use pilote_core::{AccuracyMatrix, SupportSet, TaskGroup};
+use pilote_core::{AccuracyMatrix, EmbeddingNet, SupportSet, TaskGroup};
 use pilote_edge_sim::quantize::{QuantizeError, Quantization, QuantizedMatrix};
 use pilote_edge_sim::wire::{WireError, WirePrecision, WireReader, WireWriter};
 use pilote_har_data::preprocess::Normalizer;
+use pilote_har_data::FEATURE_DIM;
 use pilote_nn::delta::{CheckpointDelta, DeltaError};
 use pilote_nn::loss::ContrastiveForm;
 use pilote_nn::Checkpoint;
@@ -369,7 +370,45 @@ pub fn decode_deployment(bytes: &[u8]) -> Result<Deployment, CodecError> {
         .map_err(|e| CodecError::Structure { detail: e.to_string() })?;
     let config = read_config(&mut r)?;
     r.finish()?;
-    Ok(Deployment { checkpoint, support, normalizer, config, prototypes })
+    let deployment = Deployment { checkpoint, support, normalizer, config, prototypes };
+    check_deployment_sections(&deployment)?;
+    Ok(deployment)
+}
+
+/// Checks a decoded deployment's sections against its own `config.net`,
+/// so installing it can neither panic nor build a network at a width the
+/// payload chooses: the checkpoint must hold exactly the shapes
+/// [`EmbeddingNet::new`] builds, and the normaliser and every support
+/// class must be `FEATURE_DIM` columns wide, the width the device's
+/// feature extractor emits. Shipped prototype widths are left to the
+/// serve path, which rejects them with a typed [`TensorError`].
+fn check_deployment_sections(d: &Deployment) -> Result<(), CodecError> {
+    let structure = |detail: String| Err(CodecError::Structure { detail });
+    let net = &d.config.net;
+    if net.input_dim != FEATURE_DIM {
+        return structure(format!("config input_dim {} is not {FEATURE_DIM}", net.input_dim));
+    }
+    let (shapes, expected) = (&d.checkpoint.shapes, EmbeddingNet::param_shapes(net));
+    let tensors = shapes.len().max(expected.len());
+    if let Some(i) = (0..tensors).find(|&i| shapes.get(i) != expected.get(i)) {
+        return structure(format!(
+            "checkpoint tensor {i} is {:?}, config.net builds {:?}",
+            shapes.get(i),
+            expected.get(i)
+        ));
+    }
+    let columns = d.normalizer.dim();
+    if columns != FEATURE_DIM {
+        return structure(format!("normaliser covers {columns} columns, not {FEATURE_DIM}"));
+    }
+    for label in d.support.labels() {
+        let dims = d.support.class(label).map(|t| t.shape().dims());
+        if !matches!(dims, Some(&[_, cols]) if cols == FEATURE_DIM) {
+            let detail = format!("support class {label} has dims {dims:?}, not [n, {FEATURE_DIM}]");
+            return structure(detail);
+        }
+    }
+    Ok(())
 }
 
 /// Exact byte count [`encode_deployment`] produces for `d` at
@@ -854,6 +893,51 @@ mod tests {
         // The decoded package really is lossy — quantisation is not an
         // accounting fiction.
         assert_ne!(back.checkpoint, d.checkpoint);
+    }
+
+    /// The structure error that decoding `d` after a bit-exact encode must
+    /// return. The tests below only decode their mutants: installing one
+    /// would panic or allocate at a width the payload chose.
+    fn structure_error_of(d: &Deployment) -> String {
+        match decode_deployment(&encode_deployment(d, WirePrecision::F32).unwrap()) {
+            Err(CodecError::Structure { detail }) => detail,
+            other => panic!("expected a structure error, got {:?}", other.map(drop)),
+        }
+    }
+
+    #[test]
+    fn a_hidden_width_the_checkpoint_does_not_hold_is_a_structure_error() {
+        // An install would build an 80 × 2^40 first layer before
+        // `Checkpoint::restore` compared shapes.
+        let mut d = deployment();
+        d.config.net.hidden[0] = 1 << 40;
+        assert!(structure_error_of(&d).starts_with("checkpoint tensor 0"));
+    }
+
+    #[test]
+    fn a_normaliser_narrower_than_the_features_is_a_structure_error() {
+        let mut d = deployment();
+        d.normalizer = Normalizer::from_parts(vec![0.0; 3], vec![1.0; 3]).unwrap();
+        assert!(structure_error_of(&d).starts_with("normaliser"));
+    }
+
+    #[test]
+    fn support_features_narrower_than_the_features_are_a_structure_error() {
+        let mut d = deployment();
+        let label = d.support.labels()[0];
+        d.support.put_class(label, Tensor::zeros([4, 3]));
+        assert!(structure_error_of(&d).starts_with(&format!("support class {label}")));
+    }
+
+    #[test]
+    fn a_net_input_width_other_than_the_features_is_a_structure_error() {
+        // The checkpoint agrees with `input_dim = 3`, while the normaliser
+        // and the support keep the FEATURE_DIM columns the device extracts.
+        let mut d = deployment();
+        d.config.net.input_dim = 3;
+        let mut net = EmbeddingNet::new(d.config.net.clone(), &mut pilote_tensor::Rng64::new(1));
+        d.checkpoint = Checkpoint::capture(net.layers_mut());
+        assert!(structure_error_of(&d).starts_with("config input_dim 3"));
     }
 
     #[test]

@@ -2,7 +2,10 @@
 # Tier-1 gate: every change must pass this before merging (README §Testing).
 #
 # Runs, in order:
-#   1. release build of the whole workspace
+#   1. release build of the whole workspace, which must leave the
+#      committed Cargo.lock byte for byte as it is: `--locked` is not
+#      enough, because it passes a lock that still lists packages no
+#      manifest names, and the plain build then prunes them
 #   2. the full test suite (unit + integration + vendored stand-ins)
 #   3. doctests (kept separate so a doc regression is named as such)
 #   4. rustdoc with warnings denied (broken intra-doc links fail the gate)
@@ -92,8 +95,17 @@ determinism_gate() {
   done
 }
 
-step "cargo build --workspace --release"
+step "cargo build --workspace --release (Cargo.lock must stay as committed)"
+lock_copy="$(mktemp)"
+trap 'rm -f "$lock_copy"' EXIT
+cp Cargo.lock "$lock_copy"
 cargo build --workspace --release
+if ! cmp -s "$lock_copy" Cargo.lock; then
+  diff "$lock_copy" Cargo.lock >&2 || true
+  echo "build gate: the build rewrote Cargo.lock; commit the Cargo.lock it wrote" >&2
+  exit 1
+fi
+rm -f "$lock_copy"
 
 step "cargo test --workspace -q"
 cargo test --workspace -q
