@@ -10,7 +10,6 @@ use pilote_edge_sim::memory::{model_bytes, ValueWidth};
 use pilote_edge_sim::{LinkModel, MemoryBudget};
 use pilote_har_data::sensors::{CHANNELS, WINDOW_LEN};
 use pilote_har_data::FEATURE_DIM;
-use pilote_tensor::Rng64;
 use serde_json::json;
 use std::path::Path;
 
@@ -20,8 +19,7 @@ pub fn run(out: &Path) -> Result<Vec<(String, f64, f64)>, ReportError> {
     let window_bytes = (WINDOW_LEN * CHANNELS * 4) as u64;
     let windows_per_day = 86_400u64; // one-second windows
 
-    let mut rng = Rng64::new(0);
-    let params = EmbeddingNet::new(NetConfig::paper(), &mut rng).param_count();
+    let params = EmbeddingNet::param_count_of(&NetConfig::paper());
     let model_b = model_bytes(params);
     let support_b = MemoryBudget::new(200 * 5, FEATURE_DIM, ValueWidth::F32).total_bytes();
 

@@ -32,9 +32,10 @@ use std::time::Instant;
 /// Raw eval windows streamed through the deployed device per activity.
 const STREAM_WINDOWS_PER_ACTIVITY: usize = 4;
 
-/// Hot-loop repetitions for the kill-switch overhead measurement. Long
-/// enough (~10 ms per trial) that scheduler jitter stays well under the
-/// 5% acceptance bound.
+/// Hot-loop repetitions for the kill-switch overhead measurement, about
+/// 5 ms per trial. The figure is host time that nothing checks: at this
+/// length scheduler jitter moves it by several percent either way. The
+/// measured cost of tracing is perfbench's `obs.trace_overhead`.
 const OVERHEAD_REPS: usize = 200;
 
 /// Runs the instrumented lifecycle, writes `BENCH_obs.json` and benchmarks
@@ -148,7 +149,8 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<Snapshot, ReportError
 
 /// Times the `repro kernels` GEMM hot loop with telemetry enabled vs
 /// disabled. Host wall-times — printed to stderr only, never written to
-/// `BENCH_obs.json` (the diffed artefact must not depend on host speed).
+/// `BENCH_obs.json` (the diffed artefact must not depend on host speed),
+/// and checked by no gate.
 fn overhead_benchmark(seed: u64) {
     let mut rng = Rng64::new(seed ^ 0x0b5e);
     let a = Tensor::randn([64, 128], 0.0, 1.0, &mut rng);
@@ -175,7 +177,8 @@ fn overhead_benchmark(seed: u64) {
     eprintln!(
         "[obs] kill-switch hot loop ({OVERHEAD_REPS}× 64×128×64 GEMM): \
          enabled {:.3} ms, disabled {:.3} ms, overhead {overhead_pct:+.2}% \
-         (host wall-time, stderr only; acceptance bound < 5%)",
+         (unchecked host wall-time, stderr only; perfbench's traced \
+         obs.trace_overhead measures the cost of tracing)",
         enabled_s * 1e3,
         disabled_s * 1e3,
     );

@@ -217,8 +217,8 @@ pub(crate) fn pretrain_two_class(train: &Dataset, scale: &Scale, seed: u64) -> P
     pretrain(&train.filter_classes(&base_labels).expect("base classes"), scale, seed).0
 }
 
-/// Next deterministic `[windows, 28]` slice of the eval pool, wrapping at
-/// the end.
+/// Next deterministic `[windows, FEATURE_DIM]` slice of the eval pool,
+/// wrapping at the end.
 pub(crate) fn session_slice(eval: &Dataset, cursor: &mut usize, windows: usize) -> Tensor {
     let rows = eval.features.rows();
     let start = *cursor % rows.saturating_sub(windows).max(1);

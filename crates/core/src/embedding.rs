@@ -1,7 +1,7 @@
 //! The Siamese embedding network φ_Θ.
 
 use crate::config::NetConfig;
-use pilote_nn::{BatchNorm1d, Dense, Layer, Mode, ReLU, Sequential};
+use pilote_nn::{BatchNorm1d, Checkpoint, CheckpointError, Dense, Layer, Mode, ReLU, Sequential};
 use pilote_tensor::{Rng64, Tensor};
 
 /// The embedding network: a fully connected stack with BatchNorm + ReLU on
@@ -19,16 +19,45 @@ pub struct EmbeddingNet {
 impl EmbeddingNet {
     /// Builds a freshly initialised network.
     pub fn new(config: NetConfig, rng: &mut Rng64) -> Self {
+        let net = Self::stack(&config, |fan_in, fan_out| Dense::new(fan_in, fan_out, rng));
+        EmbeddingNet { net, config }
+    }
+
+    /// The network [`EmbeddingNet::new`] followed by
+    /// [`Checkpoint::restore`] would give, in every parameter bit and in
+    /// `rng`'s state, without drawing the initial weights the restore
+    /// overwrites: the layers start at zero, and `rng` skips the normals
+    /// `new` would have drawn ([`Rng64::skip_normals`]), so every later
+    /// draw from it is unchanged. The checkpoint is validated and
+    /// restored by [`Checkpoint::restore`].
+    pub fn restored(
+        config: NetConfig,
+        checkpoint: &Checkpoint,
+        rng: &mut Rng64,
+    ) -> Result<Self, CheckpointError> {
+        let mut draws = 0;
+        let mut net = Self::stack(&config, |fan_in, fan_out| {
+            draws += fan_in * fan_out;
+            Dense::zeroed(fan_in, fan_out)
+        });
+        rng.skip_normals(draws);
+        checkpoint.restore(&mut net)?;
+        Ok(EmbeddingNet { net, config })
+    }
+
+    /// The layer stack of `config`, its Dense layers made by `dense` in
+    /// input-to-output order.
+    fn stack(config: &NetConfig, mut dense: impl FnMut(usize, usize) -> Dense) -> Sequential {
         let mut net = Sequential::new();
         let mut prev = config.input_dim;
         for &width in &config.hidden {
-            net.push_boxed(Box::new(Dense::new(prev, width, rng)));
+            net.push_boxed(Box::new(dense(prev, width)));
             net.push_boxed(Box::new(BatchNorm1d::new(width)));
             net.push_boxed(Box::new(ReLU::new()));
             prev = width;
         }
-        net.push_boxed(Box::new(Dense::new(prev, config.embedding_dim, rng)));
-        EmbeddingNet { net, config }
+        net.push_boxed(Box::new(dense(prev, config.embedding_dim)));
+        net
     }
 
     /// Shapes of the parameter tensors [`EmbeddingNet::new`] builds from
@@ -45,6 +74,12 @@ impl EmbeddingNet {
         }
         shapes.extend([vec![prev, config.embedding_dim], vec![config.embedding_dim]]);
         shapes
+    }
+
+    /// Number of scalar parameters [`EmbeddingNet::new`] builds from
+    /// `config`: [`EmbeddingNet::param_count`] without building a network.
+    pub fn param_count_of(config: &NetConfig) -> usize {
+        Self::param_shapes(config).iter().map(|s| s.iter().product::<usize>()).sum()
     }
 
     /// The architecture this network was built from.
@@ -116,7 +151,6 @@ impl std::fmt::Debug for EmbeddingNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pilote_nn::Checkpoint;
 
     #[test]
     fn paper_architecture_parameter_count() {
@@ -135,7 +169,9 @@ mod tests {
             let mut net = EmbeddingNet::new(cfg.clone(), &mut Rng64::new(4));
             let built = Checkpoint::capture(net.layers_mut()).shapes;
             assert_eq!(EmbeddingNet::param_shapes(&cfg), built, "{cfg:?}");
+            assert_eq!(EmbeddingNet::param_count_of(&cfg), net.param_count(), "{cfg:?}");
         }
+        assert_eq!(EmbeddingNet::param_count_of(&NetConfig::paper()), 693_440);
     }
 
     #[test]

@@ -599,12 +599,22 @@ impl Pilote {
     /// Recomputes every class prototype from the support set under the
     /// current embedding, and bumps the model [`Pilote::generation`] so
     /// prototype caches built against the previous classifier invalidate.
+    ///
+    /// The whole support set is embedded in one forward and each class's
+    /// prototype is taken from its row range. Every kernel computes each
+    /// output row from its input row alone (`docs/FLEET.md`), so the rows
+    /// equal the class embedded on its own bit for bit, and the GEMM flop
+    /// charge, linear in the row count, is the per-class sum.
     pub fn refresh_prototypes(&mut self) -> Result<(), TensorError> {
         let mut clf = NcmClassifier::new(self.cfg.net.embedding_dim);
-        for label in self.support.labels() {
-            let features = self.support.class(label).expect("label from labels()");
-            let embeddings = self.net.embed(features);
-            clf.set_prototype_from(label, &embeddings)?;
+        if !self.support.classes.is_empty() {
+            let embeddings = self.net.embed(&self.support.to_dataset()?.features);
+            let mut start = 0;
+            for (label, features) in &self.support.classes {
+                let end = start + features.rows();
+                clf.set_prototype_from(*label, &embeddings.slice_rows(start, end)?)?;
+                start = end;
+            }
         }
         self.classifier = clf;
         self.generation = self.generation.wrapping_add(1);

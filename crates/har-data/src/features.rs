@@ -15,7 +15,9 @@
 //! |           | range, std of per-channel energies                          |
 //!
 //! Extraction is a single pass over the window per statistic — linear time,
-//! matching the paper's edge-latency argument.
+//! matching the paper's edge-latency argument. Each pass reads the window
+//! one sample row at a time as a slice, so the per-element work is the
+//! arithmetic alone, with no shape lookup or rank check per element.
 
 use crate::sensors::{Triad, CHANNELS};
 use crate::simulate::RawDataset;
@@ -46,21 +48,23 @@ pub fn extract(window: &Tensor) -> Result<Tensor, TensorError> {
     }
     let nf = n as f64;
     let mut out = vec![0.0f32; FEATURE_DIM];
+    // The samples, one `CHANNELS`-wide row slice each, in time order.
+    let samples = || window.as_slice().chunks_exact(CHANNELS);
 
     // ---- per-channel mean/variance -------------------------------------
     let mut ch_mean = [0.0f64; CHANNELS];
     let mut ch_var = [0.0f64; CHANNELS];
-    for t in 0..n {
-        for (ch, m) in ch_mean.iter_mut().enumerate() {
-            *m += window.at(t, ch) as f64;
+    for row in samples() {
+        for (m, &x) in ch_mean.iter_mut().zip(row) {
+            *m += x as f64;
         }
     }
     for m in &mut ch_mean {
         *m /= nf;
     }
-    for t in 0..n {
-        for (ch, v) in ch_var.iter_mut().enumerate() {
-            let d = window.at(t, ch) as f64 - ch_mean[ch];
+    for row in samples() {
+        for ((v, &x), &mean) in ch_var.iter_mut().zip(row).zip(&ch_mean) {
+            let d = x as f64 - mean;
             *v += d * d;
         }
     }
@@ -76,8 +80,8 @@ pub fn extract(window: &Tensor) -> Result<Tensor, TensorError> {
     for (ti, triad) in Triad::ALL.iter().enumerate() {
         let [cx, cy, cz] = triad.channels();
         let mut mags = Vec::with_capacity(n);
-        for t in 0..n {
-            let (x, y, z) = (window.at(t, cx), window.at(t, cy), window.at(t, cz));
+        for row in samples() {
+            let (x, y, z) = (row[cx], row[cy], row[cz]);
             mags.push((x * x + y * y + z * z).sqrt());
         }
         let mag_mean = mags.iter().map(|&v| v as f64).sum::<f64>() / nf;
@@ -86,10 +90,10 @@ pub fn extract(window: &Tensor) -> Result<Tensor, TensorError> {
 
         // Jerk: per-sample derivative magnitude of the 3-D signal.
         let mut jerks = Vec::with_capacity(n - 1);
-        for t in 1..n {
-            let dx = window.at(t, cx) - window.at(t - 1, cx);
-            let dy = window.at(t, cy) - window.at(t - 1, cy);
-            let dz = window.at(t, cz) - window.at(t - 1, cz);
+        for (prev, row) in samples().zip(samples().skip(1)) {
+            let dx = row[cx] - prev[cx];
+            let dy = row[cy] - prev[cy];
+            let dz = row[cz] - prev[cz];
             jerks.push((dx * dx + dy * dy + dz * dz).sqrt());
         }
         let jn = jerks.len() as f64;
@@ -128,18 +132,19 @@ pub fn extract(window: &Tensor) -> Result<Tensor, TensorError> {
     let mut gmin = f64::INFINITY;
     let mut gmax = f64::NEG_INFINITY;
     let mut ch_energy = [0.0f64; CHANNELS];
-    for t in 0..n {
-        #[allow(clippy::needless_range_loop)] // `ch` also indexes the window
-        for ch in 0..CHANNELS {
-            let v = window.at(t, ch) as f64;
+    let mut prev: Option<&[f32]> = None;
+    for row in samples() {
+        for (ch, (&x, e)) in row.iter().zip(&mut ch_energy).enumerate() {
+            let v = x as f64;
             total_energy += v * v;
-            ch_energy[ch] += v * v;
+            *e += v * v;
             gmin = gmin.min(v);
             gmax = gmax.max(v);
-            if t > 0 {
-                mean_abs_deriv += (v - window.at(t - 1, ch) as f64).abs();
+            if let Some(prev) = prev {
+                mean_abs_deriv += (v - prev[ch] as f64).abs();
             }
         }
+        prev = Some(row);
     }
     total_energy /= nf * CHANNELS as f64;
     mean_abs_deriv /= (n - 1) as f64 * CHANNELS as f64;

@@ -307,8 +307,8 @@ impl CloudServer {
         )?;
         let mut deployment = Deployment::from_model(&mut model, self.normalizer.clone());
         // Compute the shipped prototypes through a device-equivalent net:
-        // a fresh network with the checkpoint restored, exactly as the
-        // edge install path builds it. The checkpoint carries parameters
+        // the network built for the checkpoint, exactly as the edge
+        // install path builds it. The checkpoint carries parameters
         // but not BatchNorm running statistics, so prototypes taken from
         // the cloud training net would live in a different embedding
         // space than the device's probe embeddings. Through the restored
@@ -316,8 +316,12 @@ impl CloudServer {
         // shipping them changes nothing at f32, and lets the wire codec
         // quantise the prototype section end-to-end.
         let mut rng = pilote_tensor::Rng64::new(self.config.seed ^ 0xed6e);
-        let mut net = pilote_core::EmbeddingNet::new(self.config.net.clone(), &mut rng);
-        deployment.checkpoint.restore(net.layers_mut()).map_err(|_| TensorError::Empty {
+        let net = pilote_core::EmbeddingNet::restored(
+            self.config.net.clone(),
+            &deployment.checkpoint,
+            &mut rng,
+        )
+        .map_err(|_| TensorError::Empty {
             op: "CloudServer::pretrain_and_package (restore into shadow net)",
         })?;
         let shadow = Pilote::from_parts(self.config.clone(), net, model.support().clone(), rng)?;

@@ -26,6 +26,7 @@ use pilote_har_data::FEATURE_DIM;
 use pilote_nn::persist::{Checkpoint, CheckpointError};
 use pilote_obs::work;
 use pilote_tensor::{Rng64, Tensor, TensorError};
+use std::sync::Arc;
 
 /// Typed errors for edge-device operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,11 +156,12 @@ pub struct EdgeDevice {
     pending: Vec<(usize, Tensor)>,
     /// The as-installed deployment (parameters + exemplars) — the frozen
     /// pre-trained state the device degrades to under persistent faults.
-    baseline: (Checkpoint, SupportSet),
+    baseline: ModelSnapshot,
     /// The most recent model state whose quality sample raised no alerts
-    /// (parameters + exemplars; starts at the installed baseline). The
-    /// fleet policy's strike-1 repair restores this snapshot.
-    last_good: (Checkpoint, SupportSet),
+    /// (parameters + exemplars; starts as the installed baseline itself,
+    /// shared rather than copied). The fleet policy's strike-1 repair
+    /// restores this snapshot.
+    last_good: ModelSnapshot,
     /// Consecutive failed incremental updates.
     update_failures: u32,
     degraded: bool,
@@ -181,13 +183,18 @@ pub struct EdgeDevice {
     telemetry_baseline: pilote_obs::Snapshot,
 }
 
+/// A committed model state, parameters plus exemplars. Immutable once
+/// taken, so the baseline, the last-good state and policy snapshots share
+/// one copy.
+type ModelSnapshot = Arc<(Checkpoint, SupportSet)>;
+
 /// Pre-install device state captured by [`EdgeDevice::policy_snapshot`]
 /// so a halted staged rollout can restore the device exactly.
 pub(crate) struct PolicySnapshot {
     checkpoint: Checkpoint,
     support: SupportSet,
-    baseline: (Checkpoint, SupportSet),
-    last_good: (Checkpoint, SupportSet),
+    baseline: ModelSnapshot,
+    last_good: ModelSnapshot,
     update_failures: u32,
     degraded: bool,
 }
@@ -265,8 +272,9 @@ impl EdgeDevice {
         })
     }
 
-    /// Shared install tail: load the checkpoint, snapshot the baseline,
-    /// stamp the `Deployed` event on the provided (already-advanced) log.
+    /// Shared install tail: build the network for the checkpoint, snapshot
+    /// the baseline, stamp the `Deployed` event on the provided
+    /// (already-advanced) log.
     fn build(
         profile: DeviceProfile,
         deployment: &Deployment,
@@ -274,8 +282,8 @@ impl EdgeDevice {
         payload_bytes: u64,
     ) -> Result<EdgeDevice, EdgeError> {
         let mut rng = Rng64::new(deployment.config.seed ^ 0xed6e);
-        let mut net = EmbeddingNet::new(deployment.config.net.clone(), &mut rng);
-        deployment.checkpoint.restore(net.layers_mut())?;
+        let net =
+            EmbeddingNet::restored(deployment.config.net.clone(), &deployment.checkpoint, &mut rng)?;
         let mut model = Pilote::from_parts(
             deployment.config.clone(),
             net,
@@ -292,7 +300,7 @@ impl EdgeDevice {
         let assembler = WindowAssembler::new(WINDOW_LEN, WINDOW_LEN, 1)
             .with_normalizer(deployment.normalizer.clone());
         log.record(EventKind::Deployed { payload_bytes });
-        let baseline = (deployment.checkpoint.clone(), deployment.support.clone());
+        let baseline = Arc::new((deployment.checkpoint.clone(), deployment.support.clone()));
         Ok(EdgeDevice {
             profile,
             model,
@@ -300,7 +308,7 @@ impl EdgeDevice {
             drift: None,
             log,
             pending: Vec::new(),
-            last_good: baseline.clone(),
+            last_good: Arc::clone(&baseline),
             baseline,
             update_failures: 0,
             degraded: false,
@@ -435,10 +443,10 @@ impl EdgeDevice {
             if report.alerts.is_empty() {
                 // An alert-free sample certifies the current state: make
                 // it the rollback target for the policy's strike-1 repair.
-                self.last_good = (
+                self.last_good = Arc::new((
                     Checkpoint::capture(self.model.net_mut().layers_mut()),
                     self.model.support().clone(),
-                );
+                ));
             }
         }
         Ok(report)
@@ -465,10 +473,9 @@ impl EdgeDevice {
     /// repair), charging the prototype refresh to the virtual clock and
     /// recording [`EventKind::RepairRollback`].
     pub fn repair_rollback(&mut self, strike: u32) -> Result<(), EdgeError> {
-        let (ckpt, support) = self.last_good.clone();
         let flops_before = work::thread_flops();
-        ckpt.restore(self.model.net_mut().layers_mut())?;
-        *self.model.support_mut() = support;
+        self.last_good.0.restore(self.model.net_mut().layers_mut())?;
+        *self.model.support_mut() = self.last_good.1.clone();
         self.model.refresh_prototypes()?;
         let flops = work::thread_flops().wrapping_sub(flops_before);
         self.log.advance(self.profile.seconds_for_flops(flops));
@@ -492,8 +499,8 @@ impl EdgeDevice {
         }
         let flops = work::thread_flops().wrapping_sub(flops_before);
         self.log.advance(self.profile.seconds_for_flops(flops));
-        self.baseline = (deployment.checkpoint.clone(), deployment.support.clone());
-        self.last_good = self.baseline.clone();
+        self.baseline = Arc::new((deployment.checkpoint.clone(), deployment.support.clone()));
+        self.last_good = Arc::clone(&self.baseline);
         self.update_failures = 0;
         self.degraded = false;
         Ok(())
@@ -521,8 +528,8 @@ impl EdgeDevice {
         PolicySnapshot {
             checkpoint: Checkpoint::capture(self.model.net_mut().layers_mut()),
             support: self.model.support().clone(),
-            baseline: self.baseline.clone(),
-            last_good: self.last_good.clone(),
+            baseline: Arc::clone(&self.baseline),
+            last_good: Arc::clone(&self.last_good),
             update_failures: self.update_failures,
             degraded: self.degraded,
         }
@@ -723,9 +730,9 @@ impl EdgeDevice {
         Ok(self.model.predict(features)?)
     }
 
-    /// Serves a pre-extracted feature batch (`[n, 28]`): one embedding
-    /// forward and one distance kernel for the whole batch, classified
-    /// against the model's live NCM prototypes.
+    /// Serves a pre-extracted feature batch (`[n, FEATURE_DIM]`): one
+    /// embedding forward and one distance kernel for the whole batch,
+    /// classified against the model's live NCM prototypes.
     ///
     /// Every kernel is band-parallel over output **rows**, with each row a
     /// pure serial function of its input row, so the outcomes here are

@@ -620,9 +620,9 @@ impl Fleet {
     }
 
     /// Serves one user session — a pre-extracted feature matrix
-    /// (`[n, 28]`) — on the user's routed device, chunked through the
-    /// batched prototype-cache path. Afterwards, runs any federated round
-    /// the session schedule now owes ([`FleetConfig::federated_every`]).
+    /// (`[n, FEATURE_DIM]`) — on the user's routed device, chunked through
+    /// the batched prototype-cache path. Afterwards, runs any federated
+    /// round the session schedule now owes ([`FleetConfig::federated_every`]).
     pub fn serve_session(
         &mut self,
         user_id: u64,

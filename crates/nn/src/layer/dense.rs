@@ -20,10 +20,22 @@ pub struct Dense {
 impl Dense {
     /// New layer mapping `in_dim → out_dim`.
     pub fn new(in_dim: usize, out_dim: usize, rng: &mut Rng64) -> Self {
+        Self::with_weight(Tensor::kaiming_normal(in_dim, out_dim, rng))
+    }
+
+    /// Layer mapping `in_dim → out_dim` with all-zero weights: the frame a
+    /// checkpoint is restored into, with no initialisation draws to
+    /// overwrite.
+    pub fn zeroed(in_dim: usize, out_dim: usize) -> Self {
+        Self::with_weight(Tensor::zeros([in_dim, out_dim]))
+    }
+
+    fn with_weight(weight: Tensor) -> Self {
+        let out_dim = weight.cols();
         Dense {
-            weight: Tensor::kaiming_normal(in_dim, out_dim, rng),
+            grad_weight: Tensor::zeros(weight.shape().clone()),
+            weight,
             bias: Tensor::zeros([out_dim]),
-            grad_weight: Tensor::zeros([in_dim, out_dim]),
             grad_bias: Tensor::zeros([out_dim]),
             cached_input: None,
         }

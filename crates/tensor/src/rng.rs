@@ -109,16 +109,42 @@ impl Rng64 {
         if let Some(z) = self.spare_normal.take() {
             return z;
         }
-        // u1 must be strictly positive for the logarithm.
-        let mut u1 = self.uniform();
-        while u1 <= f64::EPSILON {
-            u1 = self.uniform();
-        }
-        let u2 = self.uniform();
+        let (u1, u2) = self.box_muller_uniforms();
         let r = (-2.0 * u1.ln()).sqrt();
         let theta = std::f64::consts::TAU * u2;
         self.spare_normal = Some(r * theta.sin());
         r * theta.cos()
+    }
+
+    /// The two uniforms one Box–Muller pair consumes; `u1` must be
+    /// strictly positive for the logarithm, so it is redrawn until it is.
+    #[inline]
+    fn box_muller_uniforms(&mut self) -> (f64, f64) {
+        let mut u1 = self.uniform();
+        while u1 <= f64::EPSILON {
+            u1 = self.uniform();
+        }
+        (u1, self.uniform())
+    }
+
+    /// Leaves the generator exactly where `n` calls of [`Rng64::normal`]
+    /// would: the same raw draws, `u1` redraws included, without the
+    /// logarithms and trigonometry. Only a half-used final pair is
+    /// computed, because its spare is what the next `normal` returns.
+    ///
+    /// A network built to receive a checkpoint skips its initialisation
+    /// draws this way, so every later draw from the stream is unchanged.
+    pub fn skip_normals(&mut self, n: usize) {
+        let mut n = n;
+        if n > 0 && self.spare_normal.take().is_some() {
+            n -= 1;
+        }
+        for _ in 0..n / 2 {
+            self.box_muller_uniforms();
+        }
+        if n % 2 == 1 {
+            self.normal();
+        }
     }
 
     /// Normal sample with the given mean and standard deviation, as `f32`.
@@ -223,6 +249,26 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "var {var}");
+    }
+
+    #[test]
+    fn skip_normals_leaves_the_stream_where_drawing_would() {
+        // Starting with and without a spare, across odd and even counts.
+        let cases = [(1, 0, 0), (2, 0, 1), (3, 0, 2), (4, 1, 0), (5, 1, 1), (6, 1, 7), (7, 0, 1001)];
+        for (seed, pre, n) in cases {
+            let mut drawn = Rng64::new(seed);
+            for _ in 0..pre {
+                drawn.normal();
+            }
+            let mut skipped = drawn.clone();
+            for _ in 0..n {
+                drawn.normal();
+            }
+            skipped.skip_normals(n);
+            assert_eq!(skipped, drawn, "seed {seed}, {pre} drawn before, skip {n}");
+            assert_eq!(skipped.normal().to_bits(), drawn.normal().to_bits());
+            assert_eq!(skipped.next_u64(), drawn.next_u64());
+        }
     }
 
     #[test]

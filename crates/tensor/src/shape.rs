@@ -33,6 +33,7 @@ impl Shape {
     }
 
     /// Number of axes.
+    #[inline]
     pub fn rank(&self) -> usize {
         self.0.len()
     }
@@ -60,6 +61,7 @@ impl Shape {
     ///
     /// # Panics
     /// Panics if the shape is not rank 2.
+    #[inline]
     pub fn rows(&self) -> usize {
         assert_eq!(self.rank(), 2, "rows() requires a rank-2 shape, got {:?}", self.0);
         self.0[0]
@@ -69,6 +71,7 @@ impl Shape {
     ///
     /// # Panics
     /// Panics if the shape is not rank 2.
+    #[inline]
     pub fn cols(&self) -> usize {
         assert_eq!(self.rank(), 2, "cols() requires a rank-2 shape, got {:?}", self.0);
         self.0[1]

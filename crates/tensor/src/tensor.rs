@@ -94,6 +94,7 @@ impl Tensor {
     }
 
     /// Rank (number of axes).
+    #[inline]
     pub fn rank(&self) -> usize {
         self.shape.rank()
     }
@@ -109,11 +110,13 @@ impl Tensor {
     }
 
     /// Rows of a rank-2 tensor (panics otherwise — see [`Shape::rows`]).
+    #[inline]
     pub fn rows(&self) -> usize {
         self.shape.rows()
     }
 
     /// Columns of a rank-2 tensor (panics otherwise — see [`Shape::cols`]).
+    #[inline]
     pub fn cols(&self) -> usize {
         self.shape.cols()
     }

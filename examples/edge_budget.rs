@@ -71,8 +71,7 @@ fn main() {
     // ---- cloud vs edge traffic -------------------------------------------
     println!("\n== One day of HAR: cloud loop vs edge deployment ==");
     let window_bytes = (WINDOW_LEN * CHANNELS * 4) as u64;
-    let mut rng2 = Rng64::new(1);
-    let params = EmbeddingNet::new(NetConfig::paper(), &mut rng2).param_count();
+    let params = EmbeddingNet::param_count_of(&NetConfig::paper());
     for (name, link) in [("wifi", LinkModel::wifi()), ("4g", LinkModel::cellular_4g())] {
         let cmp = cloud_vs_edge(&link, 86_400, window_bytes, model_bytes(params), budget.total_bytes());
         println!(
