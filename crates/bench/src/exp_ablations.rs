@@ -108,12 +108,10 @@ pub fn pair_scheme_sweep(
         let combined = d0.concat(&new_data).expect("concat");
         let mut is_new = vec![false; d0.len()];
         is_new.extend(std::iter::repeat_n(true, new_data.len()));
-        let mut teacher = model.net_mut().clone_frozen();
         let cfg = model.config().clone();
         let start = Instant::now();
         let opts = TrainOptions {
             alpha: cfg.alpha,
-            teacher: Some(&mut teacher),
             distill_rows: (0..d0.len()).collect(),
             scheme,
             freeze_bn: true,

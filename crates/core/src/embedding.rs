@@ -131,7 +131,9 @@ impl EmbeddingNet {
         self.net.param_count()
     }
 
-    /// Deep copy — the frozen teacher for distillation.
+    /// Deep copy: a model clone, or the frozen teacher of a distillation
+    /// baseline. PILOTE's own anchor needs none: `train_embedding` embeds
+    /// `D₀` with the network before its first step.
     pub fn clone_frozen(&self) -> EmbeddingNet {
         EmbeddingNet { net: self.net.clone(), config: self.config.clone() }
     }

@@ -120,7 +120,6 @@ fn contrastive_finetune(
     let cfg = model.config().clone();
     let opts = TrainOptions {
         alpha: 0.0,
-        teacher: None,
         distill_rows: Vec::new(),
         scheme: PairScheme::Full,
         freeze_bn: true,

@@ -5,8 +5,9 @@
 //! 1. **Cloud pre-training** ([`Pilote::pretrain`]): train the embedding
 //!    network on the old classes with the supervised contrastive loss,
 //!    then select per-class exemplar support sets by herding (lines 1–7).
-//! 2. **Edge update** ([`Pilote::learn_new_class`]): freeze a teacher copy,
-//!    combine the support set `D₀` with the new-class samples `Dₙ`, and
+//! 2. **Edge update** ([`Pilote::learn_new_class`]): take the pre-update
+//!    embeddings of the support set `D₀` as the distillation anchor,
+//!    combine `D₀` with the new-class samples `Dₙ`, and
 //!    optimise `L = α·L_disti + (1 − α)·L_contra` (lines 8–12) with the
 //!    reduced pair scheme of §5.2. Finally store new-class exemplars and
 //!    refresh all prototypes under the updated embedding.
@@ -22,7 +23,7 @@ use pilote_har_data::Dataset;
 use pilote_nn::loss::{contrastive_pair_loss, distillation_loss};
 use pilote_nn::sched::{LrSchedule, StepLr};
 use pilote_nn::train::train_val_split;
-use pilote_nn::{Adam, EarlyStopper, EpochStats, Optimizer};
+use pilote_nn::{Adam, EarlyStopper, EpochStats, Layer, Optimizer};
 use pilote_tensor::{Rng64, Tensor, TensorError};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -166,13 +167,12 @@ impl TrainReport {
 }
 
 /// Options for the shared embedding-training routine.
-pub struct TrainOptions<'a> {
+pub struct TrainOptions {
     /// Balancing weight α (0 disables distillation entirely).
     pub alpha: f32,
-    /// Frozen teacher network; required when `alpha > 0`.
-    pub teacher: Option<&'a mut EmbeddingNet>,
     /// Rows of the combined dataset to distil on (the old-class exemplars
-    /// `D₀`); ignored when `alpha == 0`.
+    /// `D₀`); ignored when `alpha == 0`. Their anchor is their embedding
+    /// under the network as it enters training.
     pub distill_rows: Vec<usize>,
     /// Pair population scheme.
     pub scheme: PairScheme,
@@ -190,19 +190,19 @@ pub struct TrainOptions<'a> {
 /// `is_new[i]` marks rows of `data` belonging to the incoming new-class
 /// batch (`Dₙ`); for plain pre-training pass all-`false` with
 /// [`PairScheme::Full`].
+///
+/// The network is its own teacher: before its first step it embeds the
+/// distillation rows, and those embeddings anchor `L_disti` for the whole
+/// run — what a frozen copy of the network taken at entry would give.
 pub fn train_embedding(
     net: &mut EmbeddingNet,
     data: &Dataset,
     is_new: &[bool],
     cfg: &PiloteConfig,
-    opts: TrainOptions<'_>,
+    opts: TrainOptions,
     rng: &mut Rng64,
 ) -> Result<TrainReport, TensorError> {
     assert_eq!(data.len(), is_new.len(), "is_new must cover every row");
-    assert!(
-        opts.alpha == 0.0 || opts.teacher.is_some(),
-        "distillation (alpha > 0) requires a teacher network"
-    );
     let mut report = TrainReport::default();
     if data.len() < 2 {
         return Ok(report);
@@ -224,15 +224,23 @@ pub fn train_embedding(
         similar: val_pairs_local.similar,
     };
 
-    // ---- teacher embeddings for the distillation anchor ----------------
-    let distill_features = if opts.alpha > 0.0 && !opts.distill_rows.is_empty() {
-        Some(data.features.select_rows(&opts.distill_rows)?)
-    } else {
+    // ---- the distillation anchor: D₀ under the network at entry ---------
+    let distill = opts.alpha > 0.0 && !opts.distill_rows.is_empty();
+    let distill_features =
+        if distill { Some(data.features.select_rows(&opts.distill_rows)?) } else { None };
+    let anchor = distill_features.as_ref().map(|df| net.embed(df));
+
+    // The validation input `[va; vb; D₀]`, embedded in one forward per
+    // epoch: each output row depends on its input row alone, so the rows
+    // and the flops are those of three forwards.
+    let val_input = if val_pairs.is_empty() {
         None
-    };
-    let teacher_embeddings = match (&distill_features, opts.teacher) {
-        (Some(df), Some(teacher)) => Some(teacher.embed(df)),
-        _ => None,
+    } else {
+        let mut rows = [val_pairs.a.as_slice(), val_pairs.b.as_slice()].concat();
+        if distill {
+            rows.extend(&opts.distill_rows);
+        }
+        Some(data.features.select_rows(&rows)?)
     };
 
     let mut optimizer = Adam::new();
@@ -268,26 +276,24 @@ pub fn train_embedding(
             let batch = pairs_local.slice(start, end);
             start = end;
 
-            // Map local indices to dataset rows and gather features.
-            let rows_a: Vec<usize> = batch.a.iter().map(|&i| train_rows[i]).collect();
-            let rows_b: Vec<usize> = batch.b.iter().map(|&i| train_rows[i]).collect();
-            let fa = data.features.select_rows(&rows_a)?;
-            let fb = data.features.select_rows(&rows_b)?;
+            // Siamese forward: both branches share weights, so the `a` rows
+            // then the `b` rows are gathered into one batch (also gives
+            // BatchNorm a well-mixed batch), which the layers take over.
+            let rows: Vec<usize> = batch.a.iter().chain(&batch.b).map(|&i| train_rows[i]).collect();
+            let stacked = data.features.select_rows(&rows)?;
 
             net.zero_grad();
 
-            // Siamese forward: both branches share weights, so stack into
-            // one batch (also gives BatchNorm a well-mixed batch).
-            let stacked = Tensor::vstack(&[&fa, &fb])?;
-            let emb = net.forward_mode(&stacked, forward_mode);
+            let emb = net.layers_mut().forward_owned(stacked, forward_mode);
             let n_pairs = batch.len();
             let ea = emb.slice_rows(0, n_pairs)?;
             let eb = emb.slice_rows(n_pairs, 2 * n_pairs)?;
             let (c_loss, ga, gb) =
                 contrastive_pair_loss(&ea, &eb, &batch.similar, cfg.margin, cfg.contrastive_form)?;
             let contrastive_weight = 1.0 - opts.alpha;
-            let grad = Tensor::vstack(&[&ga.scale(contrastive_weight), &gb.scale(contrastive_weight)])?;
-            net.backward(&grad);
+            let mut grad = Tensor::vstack(&[&ga, &gb])?;
+            grad.map_inplace(|g| g * contrastive_weight);
+            net.layers_mut().backward_owned(grad);
             let mut batch_loss = contrastive_weight * c_loss;
             let batch_contra = contrastive_weight * c_loss;
             let mut batch_distill = 0.0f32;
@@ -297,20 +303,20 @@ pub fn train_embedding(
             // When D₀ is larger than `distill_batch`, a random subset is
             // distilled each step (stochastic distillation) — same
             // expected gradient, much cheaper forward.
-            if let (Some(df), Some(te)) = (&distill_features, &teacher_embeddings) {
+            if let (Some(df), Some(anchor)) = (&distill_features, &anchor) {
                 let n0 = df.rows();
-                let (df_b, te_b);
-                let (dfr, ter) = if n0 > cfg.distill_batch {
+                let anchor_b;
+                let (dfb, ter) = if n0 > cfg.distill_batch {
                     let subset = rng.sample_indices(n0, cfg.distill_batch);
-                    df_b = df.select_rows(&subset)?;
-                    te_b = te.select_rows(&subset)?;
-                    (&df_b, &te_b)
+                    anchor_b = anchor.select_rows(&subset)?;
+                    (df.select_rows(&subset)?, &anchor_b)
                 } else {
-                    (df, te)
+                    (df.clone(), anchor)
                 };
-                let student = net.forward_mode(dfr, forward_mode);
-                let (d_loss, d_grad) = distillation_loss(&student, ter)?;
-                net.backward(&d_grad.scale(opts.alpha));
+                let student = net.layers_mut().forward_owned(dfb, forward_mode);
+                let (d_loss, mut d_grad) = distillation_loss(&student, ter)?;
+                d_grad.map_inplace(|g| g * opts.alpha);
+                net.layers_mut().backward_owned(d_grad);
                 batch_loss += opts.alpha * d_loss;
                 batch_distill = opts.alpha * d_loss;
             }
@@ -331,21 +337,26 @@ pub fn train_embedding(
         }
 
         // ---- validation loss (eval mode, fixed pairs) -------------------
-        let val_loss = if val_pairs.is_empty() {
-            None
-        } else {
-            let (va, vb) = val_pairs.gather(&data.features)?;
-            let ea = net.embed(&va);
-            let eb = net.embed(&vb);
-            let (c_loss, _, _) =
-                contrastive_pair_loss(&ea, &eb, &val_pairs.similar, cfg.margin, cfg.contrastive_form)?;
-            let mut v = (1.0 - opts.alpha) * c_loss;
-            if let (Some(df), Some(te)) = (&distill_features, &teacher_embeddings) {
-                let student = net.embed(df);
-                let (d_loss, _) = distillation_loss(&student, te)?;
-                v += opts.alpha * d_loss;
+        let val_loss = match &val_input {
+            None => None,
+            Some(input) => {
+                let emb = net.embed(input);
+                let n = val_pairs.len();
+                let (ea, eb) = (emb.slice_rows(0, n)?, emb.slice_rows(n, 2 * n)?);
+                let (c_loss, _, _) = contrastive_pair_loss(
+                    &ea,
+                    &eb,
+                    &val_pairs.similar,
+                    cfg.margin,
+                    cfg.contrastive_form,
+                )?;
+                let mut v = (1.0 - opts.alpha) * c_loss;
+                if let Some(anchor) = &anchor {
+                    let (d_loss, _) = distillation_loss(&emb.slice_rows(2 * n, emb.rows())?, anchor)?;
+                    v += opts.alpha * d_loss;
+                }
+                Some(v)
             }
-            Some(v)
         };
 
         report.epochs.push(EpochStats {
@@ -436,7 +447,6 @@ impl Pilote {
         let is_new = vec![false; data.len()];
         let opts = TrainOptions {
             alpha: 0.0,
-            teacher: None,
             distill_rows: Vec::new(),
             scheme: PairScheme::Full,
             freeze_bn: false,
@@ -516,7 +526,6 @@ impl Pilote {
         let (combined, is_new) = self.support_union(new_data)?;
         let distill_rows: Vec<usize> = (0..self.support.len()).collect();
 
-        let mut teacher = self.net.clone_frozen();
         let alpha = self.cfg.alpha;
         let mut cfg = self.cfg.clone();
         // §5.2: the reduced scheme anchors only the nₜ new samples, so the
@@ -526,7 +535,6 @@ impl Pilote {
         cfg.pairs_per_sample = cfg.pairs_per_sample.saturating_mul(4);
         let opts = TrainOptions {
             alpha,
-            teacher: Some(&mut teacher),
             distill_rows,
             scheme: PairScheme::Reduced,
             freeze_bn: true,
@@ -879,24 +887,34 @@ mod tests {
         assert_eq!(model.classifier().n_classes(), 3);
     }
 
+    /// With α = 1 and frozen batch-norm statistics, the only gradient is
+    /// the distillation one, and it is zero exactly when the anchor is
+    /// the network as it entered training: no step moves a parameter bit,
+    /// and every training and validation loss is 0.
     #[test]
-    fn train_embedding_requires_teacher_with_alpha() {
+    fn the_network_at_entry_is_the_distillation_anchor() {
         let (old, _, _) = tiny_scenario();
         let cfg = PiloteConfig::fast_test(8);
-        let mut rng = Rng64::new(1);
-        let mut net = EmbeddingNet::new(cfg.net.clone(), &mut rng);
-        let is_new = vec![false; old.len()];
+        let (mut model, _) = Pilote::pretrain(cfg.clone(), &old, 10, SelectionStrategy::Herding).unwrap();
+        let before = model.net_mut().state_dict();
         let opts = TrainOptions {
-            alpha: 0.5,
-            teacher: None,
-            distill_rows: vec![],
+            alpha: 1.0,
+            distill_rows: (0..old.len()).collect(),
             scheme: PairScheme::Full,
             freeze_bn: true,
         };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = train_embedding(&mut net, &old, &is_new, &cfg, opts, &mut rng);
-        }));
-        assert!(result.is_err());
+        let is_new = vec![false; old.len()];
+        let mut rng = Rng64::new(1);
+        let report = train_embedding(model.net_mut(), &old, &is_new, &cfg, opts, &mut rng).unwrap();
+        assert!(!report.epochs.is_empty());
+        assert_eq!(report.skipped_steps, 0);
+        for e in &report.epochs {
+            assert_eq!((e.train_loss, e.val_loss), (0.0, Some(0.0)), "epoch {}", e.epoch);
+        }
+        let bits = |params: &[Tensor]| -> Vec<u32> {
+            params.iter().flat_map(|p| p.as_slice().iter().map(|v| v.to_bits())).collect()
+        };
+        assert_eq!(bits(&model.net_mut().state_dict()), bits(&before));
     }
 
     #[test]

@@ -158,9 +158,28 @@ impl WirePrecision {
 
 /// Append-only binary sink. All writes are little-endian; floats are
 /// written as IEEE-754 bit patterns.
-#[derive(Debug, Default)]
+///
+/// A [`WireWriter::counting`] writer keeps no bytes and only adds up how
+/// many were written, so running an encoder into it measures the payload
+/// that encoder writes, through the same write calls.
+#[derive(Debug)]
 pub struct WireWriter {
-    buf: Vec<u8>,
+    sink: Sink,
+}
+
+/// Where a [`WireWriter`]'s bytes go.
+#[derive(Debug)]
+enum Sink {
+    /// Kept, in order.
+    Bytes(Vec<u8>),
+    /// Counted and dropped.
+    Count(usize),
+}
+
+impl Default for WireWriter {
+    fn default() -> Self {
+        WireWriter { sink: Sink::Bytes(Vec::new()) }
+    }
 }
 
 impl WireWriter {
@@ -172,48 +191,84 @@ impl WireWriter {
     /// Writer starting with the 4-byte `magic` header.
     pub fn with_magic(magic: [u8; 4]) -> Self {
         let mut w = WireWriter::new();
-        w.buf.extend_from_slice(&magic);
+        w.raw(&magic);
         w
+    }
+
+    /// A writer that keeps nothing: [`WireWriter::len`] is the number of
+    /// bytes written to it, and [`WireWriter::into_bytes`] is empty.
+    pub fn counting() -> Self {
+        WireWriter { sink: Sink::Count(0) }
     }
 
     /// Bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        match &self.sink {
+            Sink::Bytes(buf) => buf.len(),
+            Sink::Count(n) => *n,
+        }
     }
 
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
-    /// Consumes the writer, returning the payload.
+    /// Consumes the writer, returning the payload (empty for a counting
+    /// writer).
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+        match self.sink {
+            Sink::Bytes(buf) => buf,
+            Sink::Count(_) => Vec::new(),
+        }
+    }
+
+    /// Writes raw bytes with no length prefix (caller encodes structure).
+    pub fn raw(&mut self, bytes: &[u8]) {
+        match &mut self.sink {
+            Sink::Bytes(buf) => buf.extend_from_slice(bytes),
+            Sink::Count(n) => *n += bytes.len(),
+        }
     }
 
     /// Writes one byte.
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.raw(&[v]);
     }
 
     /// Writes a little-endian `u16`.
     pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     /// Writes a little-endian `u32`.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     /// Writes a little-endian `u64`.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     /// Writes an `f32` as its IEEE-754 bit pattern (bitwise lossless).
     pub fn f32(&mut self, v: f32) {
         self.u32(v.to_bits());
+    }
+
+    /// Writes each of `values` as its IEEE-754 bit pattern, in order: the
+    /// bytes of one [`WireWriter::f32`] per value, with the room for them
+    /// reserved once (and a counting writer adding their length at once).
+    pub fn f32s(&mut self, values: &[f32]) {
+        match &mut self.sink {
+            Sink::Bytes(buf) => {
+                buf.reserve(4 * values.len());
+                for &v in values {
+                    buf.extend_from_slice(&v.to_bits().to_le_bytes());
+                }
+            }
+            Sink::Count(n) => *n += 4 * values.len(),
+        }
     }
 
     /// Writes an `f64` as its IEEE-754 bit pattern (bitwise lossless).
@@ -224,12 +279,7 @@ impl WireWriter {
     /// Writes a `u64`-length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Writes raw bytes with no length prefix (caller encodes structure).
-    pub fn raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.raw(s.as_bytes());
     }
 }
 
@@ -376,6 +426,29 @@ mod tests {
         assert_eq!(r.f64().unwrap().to_bits(), std::f64::consts::PI.to_bits());
         assert_eq!(r.str().unwrap(), "wire ünïcode");
         r.finish().unwrap();
+    }
+
+    /// `f32s` writes the bytes of one `f32` per value, and a counting
+    /// writer counts exactly the bytes a byte writer keeps.
+    #[test]
+    fn bulk_floats_and_counting_match_the_single_writes() {
+        let values = [1.5f32, -0.0, f32::NAN, f32::INFINITY, 3e-41];
+        let (mut bulk, mut single, mut counted) =
+            (WireWriter::new(), WireWriter::new(), WireWriter::counting());
+        for w in [&mut bulk, &mut counted] {
+            w.u8(9);
+            w.f32s(&values);
+            w.str("end");
+        }
+        single.u8(9);
+        for &v in &values {
+            single.f32(v);
+        }
+        single.str("end");
+        let bytes = bulk.into_bytes();
+        assert_eq!(bytes, single.into_bytes());
+        assert_eq!(counted.len(), bytes.len());
+        assert!(counted.into_bytes().is_empty());
     }
 
     #[test]

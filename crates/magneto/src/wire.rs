@@ -204,11 +204,7 @@ fn write_tensor(w: &mut WireWriter, t: &Tensor, precision: WirePrecision) -> Res
         w.u64(d as u64);
     }
     match quantization_of(precision) {
-        None => {
-            for &v in t.as_slice() {
-                w.f32(v);
-            }
-        }
+        None => w.f32s(t.as_slice()),
         Some(mode) => {
             QuantizedMatrix::encode(&rank2_view(t)?, mode)?.to_wire(w);
         }
@@ -293,9 +289,25 @@ fn read_checkpoint(r: &mut WireReader<'_>, precision: WirePrecision) -> Result<C
 /// precision; the normaliser and config are always bit-exact — they are
 /// tiny and getting them wrong corrupts every downstream feature.
 pub fn encode_deployment(d: &Deployment, precision: WirePrecision) -> Result<Vec<u8>, CodecError> {
-    let mut w = WireWriter::with_magic(DEPLOYMENT_MAGIC);
+    let mut w = WireWriter::new();
+    write_deployment(&mut w, d, precision)?;
+    Ok(w.into_bytes())
+}
+
+/// Exact byte count [`encode_deployment`] produces for `d` at
+/// `precision` — the number the link model is charged with. The same
+/// writer code runs into a counting [`WireWriter`], so no payload is built.
+pub fn deployment_wire_bytes(d: &Deployment, precision: WirePrecision) -> Result<u64, CodecError> {
+    let mut w = WireWriter::counting();
+    write_deployment(&mut w, d, precision)?;
+    Ok(w.len() as u64)
+}
+
+/// Writes the deployment payload [`encode_deployment`] describes into `w`.
+fn write_deployment(w: &mut WireWriter, d: &Deployment, precision: WirePrecision) -> Result<(), CodecError> {
+    w.raw(&DEPLOYMENT_MAGIC);
     w.u8(precision.tag());
-    write_checkpoint(&mut w, &d.checkpoint, precision)?;
+    write_checkpoint(w, &d.checkpoint, precision)?;
     // Support set.
     let labels = d.support.labels();
     w.u64(labels.len() as u64);
@@ -304,7 +316,7 @@ pub fn encode_deployment(d: &Deployment, precision: WirePrecision) -> Result<Vec
         let features = d.support.class(label).ok_or_else(|| CodecError::Structure {
             detail: format!("support label {label} vanished during encode"),
         })?;
-        write_tensor(&mut w, features, precision)?;
+        write_tensor(w, features, precision)?;
     }
     // Shipped prototypes.
     match &d.prototypes {
@@ -315,19 +327,15 @@ pub fn encode_deployment(d: &Deployment, precision: WirePrecision) -> Result<Vec
             for &l in &p.labels {
                 w.u64(l as u64);
             }
-            write_tensor(&mut w, &p.matrix, precision)?;
+            write_tensor(w, &p.matrix, precision)?;
         }
     }
     // Normaliser (always exact).
     w.u64(d.normalizer.dim() as u64);
-    for &m in d.normalizer.mean() {
-        w.f32(m);
-    }
-    for &s in d.normalizer.std() {
-        w.f32(s);
-    }
-    write_config(&mut w, &d.config);
-    Ok(w.into_bytes())
+    w.f32s(d.normalizer.mean());
+    w.f32s(d.normalizer.std());
+    write_config(w, &d.config);
+    Ok(())
 }
 
 /// Decodes a deployment payload. The result is what the device installs:
@@ -409,12 +417,6 @@ fn check_deployment_sections(d: &Deployment) -> Result<(), CodecError> {
         }
     }
     Ok(())
-}
-
-/// Exact byte count [`encode_deployment`] produces for `d` at
-/// `precision` — the number the link model is charged with.
-pub fn deployment_wire_bytes(d: &Deployment, precision: WirePrecision) -> Result<u64, CodecError> {
-    Ok(encode_deployment(d, precision)?.len() as u64)
 }
 
 fn write_config(w: &mut WireWriter, cfg: &PiloteConfig) {
@@ -875,6 +877,30 @@ mod tests {
         assert_eq!(back.prototypes, d.prototypes);
         assert_eq!(back.normalizer, d.normalizer);
         assert_eq!(back.config, d.config);
+    }
+
+    /// The counted size is the encoded length at every precision, with and
+    /// without shipped prototypes, for the paper network and the small one.
+    #[test]
+    fn deployment_wire_bytes_counts_what_encode_writes() {
+        let base = deployment();
+        let mut rng = pilote_tensor::Rng64::new(5);
+        for net in [NetConfig::paper(), NetConfig::small()] {
+            let mut d = base.clone();
+            let mut model = EmbeddingNet::new(net.clone(), &mut rng);
+            d.checkpoint = Checkpoint::capture(model.layers_mut());
+            d.config.net = net.clone();
+            let labels = d.support.labels();
+            let matrix = Tensor::randn([labels.len(), net.embedding_dim], 0.0, 1.0, &mut rng);
+            for prototypes in [Some(ShippedPrototypes { labels, matrix }), None] {
+                d.prototypes = prototypes;
+                for precision in [WirePrecision::F32, WirePrecision::U16, WirePrecision::I8] {
+                    let encoded = encode_deployment(&d, precision).unwrap().len() as u64;
+                    let case = format!("{net:?} {precision:?} prototypes {}", d.prototypes.is_some());
+                    assert_eq!(deployment_wire_bytes(&d, precision).unwrap(), encoded, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

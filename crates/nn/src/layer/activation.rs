@@ -24,19 +24,22 @@ fn width(t: &Tensor) -> usize {
 }
 
 impl Layer for ReLU {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        let d = width(input);
-        let x = input.as_slice();
-        let mut y = vec![0.0f32; x.len()];
-        let mut mask = vec![false; x.len()];
-        bands::rows2(&mut y, &mut mask, d, |i, y, mask| {
-            for ((o, m), &v) in y.iter_mut().zip(mask).zip(&x[i * d..][..d]) {
-                *o = v.max(0.0);
-                *m = v > 0.0;
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        self.forward_owned(input.clone(), mode)
+    }
+
+    /// Writes `max(0, x)` over the moved input.
+    fn forward_owned(&mut self, mut input: Tensor, _mode: Mode) -> Tensor {
+        let d = width(&input);
+        let mut mask = vec![false; input.len()];
+        bands::rows2(input.as_mut_slice(), &mut mask, d, |_, x, mask| {
+            for (v, m) in x.iter_mut().zip(mask) {
+                *m = *v > 0.0;
+                *v = v.max(0.0);
             }
         });
         self.mask = Some(mask);
-        Tensor::from_vec(y, input.shape().clone()).expect("relu output")
+        input
     }
 
     fn infer(&mut self, input: &Tensor) -> Tensor {
@@ -46,20 +49,22 @@ impl Layer for ReLU {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_owned(grad_output.clone())
+    }
+
+    /// Masks the moved gradient in place.
+    fn backward_owned(&mut self, mut grad: Tensor) -> Tensor {
         let mask = self.mask.as_ref().expect("ReLU::backward called before forward");
-        assert_eq!(grad_output.len(), mask.len(), "ReLU mask shape");
-        let d = width(grad_output);
-        let dy = grad_output.as_slice();
-        let mut dx = vec![0.0f32; dy.len()];
+        assert_eq!(grad.len(), mask.len(), "ReLU mask shape");
+        let d = width(&grad);
         // Masked by multiplying, not by selecting: a masked ±∞ or NaN
         // gives NaN and a masked −1 gives −0.0.
-        bands::rows(&mut dx, d, |i, dx| {
-            let (dy, mask) = (&dy[i * d..][..d], &mask[i * d..][..d]);
-            for ((o, &g), &m) in dx.iter_mut().zip(dy).zip(mask) {
-                *o = g * if m { 1.0 } else { 0.0 };
+        bands::rows(grad.as_mut_slice(), d, |i, dx| {
+            for (g, &m) in dx.iter_mut().zip(&mask[i * d..][..d]) {
+                *g *= if m { 1.0 } else { 0.0 };
             }
         });
-        Tensor::from_vec(dx, grad_output.shape().clone()).expect("relu dX")
+        grad
     }
 
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {

@@ -110,26 +110,20 @@ impl BatchNorm1d {
     }
 
     /// The normalising pass: `x̂ = (x − μ)·s` and `y = x̂·γ + β` per
-    /// element, written together in row bands.
-    fn normalise(&self, input: &Tensor, mean: &[f32], inv_std: &[f32]) -> (Tensor, Tensor) {
+    /// element, in row bands; `x̂` is written over `x`, `y` is returned.
+    fn normalise(&self, x: &mut Tensor, mean: &[f32], inv_std: &[f32]) -> Tensor {
         let d = self.dim();
-        let (x, gamma, beta) = (input.as_slice(), self.gamma.as_slice(), self.beta.as_slice());
+        let (gamma, beta) = (self.gamma.as_slice(), self.beta.as_slice());
         let (mean, s) = (&mean[..d], &inv_std[..d]);
         let mut y = vec![0.0f32; x.len()];
-        let mut x_hat = vec![0.0f32; x.len()];
-        bands::rows2(&mut y, &mut x_hat, d, |i, y, x_hat| {
-            let x = &x[i * d..][..d];
+        bands::rows2(&mut y, x.as_mut_slice(), d, |_, y, x| {
             for j in 0..d {
                 let h = (x[j] - mean[j]) * s[j];
-                x_hat[j] = h;
+                x[j] = h;
                 y[j] = h * gamma[j] + beta[j];
             }
         });
-        let shape = input.shape();
-        (
-            Tensor::from_vec(y, shape.clone()).expect("bn output"),
-            Tensor::from_vec(x_hat, shape.clone()).expect("bn x_hat"),
-        )
+        Tensor::from_vec(y, x.shape().clone()).expect("bn output")
     }
 
     /// Per-column `s = 1/√(σ² + ε)`.
@@ -141,15 +135,20 @@ impl BatchNorm1d {
 
 impl Layer for BatchNorm1d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        self.forward_owned(input.clone(), mode)
+    }
+
+    /// Writes `x̂` over the moved input and keeps it as the cache.
+    fn forward_owned(&mut self, mut input: Tensor, mode: Mode) -> Tensor {
         assert_eq!(input.cols(), self.dim(), "BatchNorm1d: width mismatch");
-        let batch = (mode == Mode::Train).then(|| self.batch_stats(input));
+        let batch = (mode == Mode::Train).then(|| self.batch_stats(&input));
         let (mean, var) = match &batch {
             Some((mean, var)) => (mean.as_slice(), var.as_slice()),
             None => (self.running_mean.as_slice(), self.running_var.as_slice()),
         };
         let inv_std = self.inv_std(var);
-        let (out, x_hat) = self.normalise(input, mean, &inv_std);
-        self.cache = Some(BnCache { x_hat, inv_std, train: batch.is_some() });
+        let out = self.normalise(&mut input, mean, &inv_std);
+        self.cache = Some(BnCache { x_hat: input, inv_std, train: batch.is_some() });
         out
     }
 
@@ -160,32 +159,39 @@ impl Layer for BatchNorm1d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_owned(grad_output.clone())
+    }
+
+    /// Writes dX over the moved gradient, after the column sums that read
+    /// dY.
+    fn backward_owned(&mut self, mut grad: Tensor) -> Tensor {
         let cache = self.cache.as_ref().expect("BatchNorm1d::backward called before forward");
-        assert_eq!(grad_output.shape(), cache.x_hat.shape(), "BatchNorm1d: gradient shape");
-        let (m, d) = (grad_output.rows(), self.dim());
-        let (dy, x_hat) = (grad_output.as_slice(), cache.x_hat.as_slice());
+        assert_eq!(grad.shape(), cache.x_hat.shape(), "BatchNorm1d: gradient shape");
+        let (m, d) = (grad.rows(), self.dim());
+        let x_hat = cache.x_hat.as_slice();
         let (gamma, s) = (&self.gamma.as_slice()[..d], &cache.inv_std[..d]);
-        let mut dx = vec![0.0f32; dy.len()];
 
         // Per column: Σ dY and Σ dY·x̂, the gradients of β and γ.
         let sums: Vec<[f64; 2]> = if !cache.train {
-            // Eval mode: μ and σ² are constants, so dX = (dY·γ)·s.
-            bands::rows(&mut dx, d, |i, dx| {
-                let dy = &dy[i * d..][..d];
-                for j in 0..d {
-                    dx[j] = (dy[j] * gamma[j]) * s[j];
-                }
-            });
-            bands::column_sums(m, d, [0.0f64; 2], |i, cols, acc| {
+            let dy = grad.as_slice();
+            let sums = bands::column_sums(m, d, [0.0f64; 2], |i, cols, acc| {
                 let (dy, x_hat) = (&dy[i * d..][cols.clone()], &x_hat[i * d..][cols]);
                 for ((a, &g), &h) in acc.iter_mut().zip(dy).zip(x_hat) {
                     a[0] += g as f64;
                     a[1] += (g * h) as f64;
                 }
-            })
+            });
+            // Eval mode: μ and σ² are constants, so dX = (dY·γ)·s.
+            bands::rows(grad.as_mut_slice(), d, |_, dy| {
+                for j in 0..d {
+                    dy[j] = (dy[j] * gamma[j]) * s[j];
+                }
+            });
+            sums
         } else {
             // Training mode — the batch statistics depend on x:
             // dX = (((dx̂·n − Σdx̂) − x̂·Σ(dx̂·x̂))·s)·(1/n), with dx̂ = dY·γ.
+            let dy = grad.as_slice();
             let sums = bands::column_sums(m, d, [0.0f64; 4], |i, cols, acc| {
                 let gamma = &gamma[cols.clone()];
                 let (dy, x_hat) = (&dy[i * d..][cols.clone()], &x_hat[i * d..][cols]);
@@ -202,22 +208,22 @@ impl Layer for BatchNorm1d {
             let (sum_dxh, sum_dxh_xh) = (&sum_dxh[..d], &sum_dxh_xh[..d]);
             let n = m as f32;
             let inv_n = 1.0 / n;
-            bands::rows(&mut dx, d, |i, dx| {
-                let (dy, x_hat) = (&dy[i * d..][..d], &x_hat[i * d..][..d]);
+            bands::rows(grad.as_mut_slice(), d, |i, dy| {
+                let x_hat = &x_hat[i * d..][..d];
                 for j in 0..d {
                     let dxh = dy[j] * gamma[j];
-                    dx[j] = (((dxh * n - sum_dxh[j]) - x_hat[j] * sum_dxh_xh[j]) * s[j]) * inv_n;
+                    dy[j] = (((dxh * n - sum_dxh[j]) - x_hat[j] * sum_dxh_xh[j]) * s[j]) * inv_n;
                 }
             });
             sums.iter().map(|&[b, g, _, _]| [b, g]).collect()
         };
-        // dβ += Σ dY ; dγ += Σ dY·x̂, as `g + d`: `axpy(1.0, …)`'s `g + 1.0·d`.
+        // dβ += Σ dY ; dγ += Σ dY·x̂, each as `g + d`.
         let grads = self.grad_beta.as_mut_slice().iter_mut().zip(self.grad_gamma.as_mut_slice());
         for ((gb, gg), [b, g]) in grads.zip(sums) {
             *gb += b as f32;
             *gg += g as f32;
         }
-        Tensor::from_vec(dx, grad_output.shape().clone()).expect("bn dX")
+        grad
     }
 
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {

@@ -77,9 +77,15 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        self.cached_input = Some(input.clone());
-        self.affine(input)
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        self.forward_owned(input.clone(), mode)
+    }
+
+    /// Keeps the moved input as the cache `backward` reads.
+    fn forward_owned(&mut self, input: Tensor, _mode: Mode) -> Tensor {
+        let y = self.affine(&input);
+        self.cached_input = Some(input);
+        y
     }
 
     fn infer(&mut self, input: &Tensor) -> Tensor {
@@ -92,9 +98,8 @@ impl Layer for Dense {
             .cached_input
             .as_ref()
             .expect("Dense::backward called before forward");
-        // dW += xᵀ dY
-        let dw = x.t_matmul(grad_output).expect("dW shape");
-        self.grad_weight.axpy(1.0, &dw).expect("dW accumulate");
+        // dW += xᵀ dY, added inside the GEMM
+        x.t_matmul_add_to(grad_output, &mut self.grad_weight).expect("dW shape");
         // db += column sums of dY
         let db = grad_output.sum_axis(Axis::Rows).expect("db shape");
         self.grad_bias.axpy(1.0, &db).expect("db accumulate");

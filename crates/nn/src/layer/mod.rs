@@ -14,6 +14,12 @@
 //! probes take this path. `Mode::Eval` cannot be the signal, because edge
 //! updates backpropagate through eval-mode batch normalisation.
 //!
+//! [`Sequential`] moves each activation and gradient to the next layer
+//! ([`Layer::forward_owned`], [`Layer::backward_owned`]): `Dense` keeps its
+//! input as its cache, `BatchNorm1d` writes `x̂` over its input and dX over
+//! its gradient, and `ReLU` works in place, so a training step copies no
+//! activation.
+//!
 //! The element-wise passes around each GEMM — batch normalisation, ReLU
 //! and the bias add — write only their outputs and what `backward` needs,
 //! in the bands of `docs/THREADING.md`; `docs/KERNELS.md` ("The passes
@@ -48,6 +54,12 @@ pub enum Mode {
 /// Contract:
 /// * `forward` must be called before `backward`; `backward` consumes the
 ///   cached activations of the most recent `forward`.
+/// * `forward_owned` and `backward_owned` are `forward` and `backward` on
+///   a tensor the caller no longer needs: same outputs, same caches, same
+///   gradients, bit for bit. In `Dense`, `BatchNorm1d` and `ReLU`, where
+///   owning the tensor saves a copy (each forward, and the backward of the
+///   last two), the owned form is the only body and the borrowed form
+///   copies the tensor into it.
 /// * `infer` returns `forward(x, Mode::Eval)`'s output bit for bit. In
 ///   this crate's layers it leaves no caches behind, so a `backward`
 ///   right after it panics.
@@ -67,9 +79,25 @@ pub trait Layer: Send {
         self.forward(input, Mode::Eval)
     }
 
+    /// [`Layer::forward`] on an input the caller hands over, so the layer
+    /// may keep it as its cache or write over it instead of copying it.
+    /// Returns `forward(&input, mode)`'s output bit for bit. The default
+    /// borrows the input.
+    fn forward_owned(&mut self, input: Tensor, mode: Mode) -> Tensor {
+        self.forward(&input, mode)
+    }
+
     /// Propagates `grad_output` (∂loss/∂output) back, returning
     /// ∂loss/∂input and accumulating parameter gradients.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
+
+    /// [`Layer::backward`] on a gradient the caller hands over, so the
+    /// layer may write ∂loss/∂input over it. Returns and accumulates what
+    /// `backward(&grad_output)` does, bit for bit. The default borrows the
+    /// gradient.
+    fn backward_owned(&mut self, grad_output: Tensor) -> Tensor {
+        self.backward(&grad_output)
+    }
 
     /// Mutable `(parameter, gradient)` pairs in stable order.
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)>;
@@ -89,8 +117,8 @@ pub trait Layer: Send {
     /// Human-readable layer name for summaries.
     fn name(&self) -> &'static str;
 
-    /// Clones the layer into a boxed trait object (used to freeze a teacher
-    /// copy of the network for distillation).
+    /// Clones the layer into a boxed trait object (a deep copy, e.g. a
+    /// frozen teacher).
     fn clone_box(&self) -> Box<dyn Layer>;
 }
 

@@ -6,8 +6,7 @@ use pilote_tensor::Tensor;
 /// An ordered stack of layers applied front-to-back.
 ///
 /// `Sequential` is itself a [`Layer`], so stacks nest. Cloning produces a
-/// deep copy — this is how PILOTE freezes the pre-trained "teacher" network
-/// whose embeddings anchor the distillation loss.
+/// deep copy, e.g. the frozen teacher of a distillation baseline.
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
@@ -54,19 +53,20 @@ impl Sequential {
     }
 }
 
-/// Threads `input` through `layers` in the order given, each step
-/// `step(layer, x)`; the input itself is never copied unless there are no
+/// Threads `input` through `layers` in the order given: the first layer
+/// borrows it, `first(layer, input)`, and each later one takes the output
+/// before it, `step(layer, x)`. The input is copied only when there are no
 /// layers.
 fn chain<'a>(
-    layers: impl Iterator<Item = &'a mut Box<dyn Layer>>,
+    mut layers: impl Iterator<Item = &'a mut Box<dyn Layer>>,
     input: &Tensor,
-    mut step: impl FnMut(&mut dyn Layer, &Tensor) -> Tensor,
+    first: impl FnOnce(&mut dyn Layer, &Tensor) -> Tensor,
+    mut step: impl FnMut(&mut dyn Layer, Tensor) -> Tensor,
 ) -> Tensor {
-    let mut x: Option<Tensor> = None;
-    for layer in layers {
-        x = Some(step(layer.as_mut(), x.as_ref().unwrap_or(input)));
+    match layers.next() {
+        Some(layer) => layers.fold(first(layer.as_mut(), input), |x, l| step(l.as_mut(), x)),
+        None => input.clone(),
     }
-    x.unwrap_or_else(|| input.clone())
 }
 
 impl Clone for Sequential {
@@ -77,15 +77,33 @@ impl Clone for Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        chain(self.layers.iter_mut(), input, |layer, x| layer.forward(x, mode))
+        chain(
+            self.layers.iter_mut(),
+            input,
+            |layer, x| layer.forward(x, mode),
+            |layer, x| layer.forward_owned(x, mode),
+        )
+    }
+
+    fn forward_owned(&mut self, input: Tensor, mode: Mode) -> Tensor {
+        self.layers.iter_mut().fold(input, |x, layer| layer.forward_owned(x, mode))
     }
 
     fn infer(&mut self, input: &Tensor) -> Tensor {
-        chain(self.layers.iter_mut(), input, |layer, x| layer.infer(x))
+        chain(self.layers.iter_mut(), input, |layer, x| layer.infer(x), |layer, x| layer.infer(&x))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        chain(self.layers.iter_mut().rev(), grad_output, |layer, g| layer.backward(g))
+        chain(
+            self.layers.iter_mut().rev(),
+            grad_output,
+            |layer, g| layer.backward(g),
+            |layer, g| layer.backward_owned(g),
+        )
+    }
+
+    fn backward_owned(&mut self, grad_output: Tensor) -> Tensor {
+        self.layers.iter_mut().rev().fold(grad_output, |g, layer| layer.backward_owned(g))
     }
 
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {

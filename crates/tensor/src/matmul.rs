@@ -1,6 +1,7 @@
 //! Matrix multiplication.
 //!
-//! All three matrix–matrix products (`matmul`, `matmul_t`, `t_matmul`) are
+//! All three matrix–matrix products (`matmul`, `matmul_t`, `t_matmul`), and
+//! `t_matmul_add_to`, which adds `t_matmul`'s product into a tensor, are
 //! thin shape-checking wrappers around the GEMM in [`crate::pack`]. A
 //! product whose output is one row block (`m` no taller than the active
 //! SIMD tier's register tile) and whose right-hand side is read plain
@@ -157,6 +158,41 @@ impl Tensor {
     /// is absorbed into the A-panel packing gather, or into the row
     /// kernel's reads of A when the output is one row block.
     pub fn t_matmul(&self, other: &Tensor) -> Result<Tensor> {
+        let (m, k, n) = self.t_matmul_dims(other)?;
+        let mut out = vec![0.0f32; m * n];
+        self.t_matmul_gemm(other, (m, k, n), Epilogue::None, &mut out);
+        Tensor::from_vec(out, [m, n])
+    }
+
+    /// Adds `selfᵀ @ other` into `acc` in place: each element becomes
+    /// `acc + dot`, bit for bit `acc.axpy(1.0, &self.t_matmul(other)?)`,
+    /// without the product-sized temporary. The accumulation happens in
+    /// the GEMM's store of each finished tile; the flops charged are
+    /// [`Tensor::t_matmul`]'s.
+    ///
+    /// ```
+    /// use pilote_tensor::Tensor;
+    /// let x = Tensor::from_rows(&[vec![1.0, 2.0]]).unwrap();
+    /// let dy = Tensor::from_rows(&[vec![3.0]]).unwrap();
+    /// let mut grad = Tensor::from_rows(&[vec![1.0], vec![1.0]]).unwrap();
+    /// x.t_matmul_add_to(&dy, &mut grad).unwrap();
+    /// assert_eq!(grad.as_slice(), &[4.0, 7.0]);
+    /// ```
+    pub fn t_matmul_add_to(&self, other: &Tensor, acc: &mut Tensor) -> Result<()> {
+        let (m, k, n) = self.t_matmul_dims(other)?;
+        if acc.shape().dims() != [m, n] {
+            return Err(TensorError::ShapeMismatch {
+                left: vec![m, n],
+                right: acc.shape().dims().to_vec(),
+                op: "t_matmul_add_to",
+            });
+        }
+        self.t_matmul_gemm(other, (m, k, n), Epilogue::Accumulate, acc.as_mut_slice());
+        Ok(())
+    }
+
+    /// `(m, k, n)` of `selfᵀ @ other` for `self: [k, m]`, `other: [k, n]`.
+    fn t_matmul_dims(&self, other: &Tensor) -> Result<(usize, usize, usize)> {
         if self.rank() != 2 || other.rank() != 2 {
             return Err(TensorError::RankMismatch {
                 got: if self.rank() != 2 { self.rank() } else { other.rank() },
@@ -173,18 +209,27 @@ impl Tensor {
                 op: "t_matmul",
             });
         }
+        Ok((m, k, n))
+    }
+
+    /// Charges and runs `selfᵀ @ other` into `out` through `epilogue`.
+    fn t_matmul_gemm(
+        &self,
+        other: &Tensor,
+        (m, k, n): (usize, usize, usize),
+        epilogue: Epilogue<'_>,
+        out: &mut [f32],
+    ) {
         work::record(KernelKind::TMatMul, 2 * (m as u64) * (n as u64) * (k as u64));
-        let mut out = vec![0.0f32; m * n];
         let threads = parallel::effective_threads(m * n * k);
         pack::gemm(
             Operand::transposed(self.as_slice(), m),
             Operand::plain(other.as_slice(), n),
             (m, k, n),
             threads,
-            Epilogue::None,
-            &mut out,
+            epilogue,
+            out,
         );
-        Tensor::from_vec(out, [m, n])
     }
 
     /// Matrix–vector product `self @ v` for a rank-2 `self` and rank-1 `v`.
@@ -279,6 +324,40 @@ mod tests {
             let reference = matmul_unpacked_reference(&a, &b).unwrap();
             assert_eq!(packed.as_slice(), reference.as_slice(), "size ({m},{k},{n})");
         }
+    }
+
+    /// `t_matmul_add_to` stores what `axpy(1.0, …)` of `t_matmul` stores,
+    /// in every bit and NaN payload, where the product is one row block
+    /// (the plain product takes the row kernel, the accumulating one the
+    /// packed tiles) and where it is taller, at 1 and 3 threads. A NaN in
+    /// A meets a NaN of another payload in the accumulator.
+    #[test]
+    fn t_matmul_add_to_equals_axpy_of_the_product() {
+        use crate::parallel::{self, ThreadConfig};
+        let _guard = parallel::TEST_CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let saved = parallel::current();
+        let nan = |payload: u32| f32::from_bits(0x7fc0_0000 | payload);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = Rng64::new(13);
+        for threads in [1usize, 3] {
+            parallel::configure(ThreadConfig { num_threads: threads, min_parallel_len: 0 });
+            for (m, k, n) in [(1, 5, 7), (3, 9, 40), (17, 33, 9), (70, 65, 130), (4, 0, 3)] {
+                let mut a = random(&mut rng, k, m);
+                let b = random(&mut rng, k, n);
+                let mut acc = random(&mut rng, m, n);
+                if k > 0 {
+                    a.as_mut_slice()[0] = nan(0x22);
+                    acc.as_mut_slice()[n - 1] = nan(0x11);
+                }
+                let mut want = acc.clone();
+                want.axpy(1.0, &a.t_matmul(&b).unwrap()).unwrap();
+                a.t_matmul_add_to(&b, &mut acc).unwrap();
+                assert_eq!(bits(&acc), bits(&want), "({m},{k},{n}) at {threads} threads");
+            }
+        }
+        parallel::configure(saved);
+        let mut wrong = Tensor::zeros([2, 2]);
+        assert!(Tensor::zeros([3, 2]).t_matmul_add_to(&Tensor::zeros([3, 3]), &mut wrong).is_err());
     }
 
     #[test]

@@ -54,6 +54,21 @@ fn zip_apply(
     })
 }
 
+/// `x + y`, except that a NaN `x` comes back quieted with its own payload
+/// whatever `y` holds: the rule [`Tensor::axpy`] and the GEMM's
+/// accumulate epilogue apply where two NaNs meet. Plain `x + y` cannot
+/// pin it: the hardware keeps the first operand's payload, and the
+/// compiler picks the operand order of each `add` instruction, differently
+/// even within one unrolled loop body.
+#[inline(always)]
+pub(crate) fn add_keeping_nan(x: f32, y: f32) -> f32 {
+    if x.is_nan() {
+        f32::from_bits(x.to_bits() | 0x0040_0000)
+    } else {
+        x + y
+    }
+}
+
 impl Tensor {
     /// Element-wise / broadcast addition.
     ///
@@ -85,6 +100,10 @@ impl Tensor {
 
     /// In-place `self += alpha * other` (identical shapes only) — the axpy
     /// primitive used by all optimizer updates; avoids a temporary.
+    ///
+    /// Where `self` holds a NaN it stays, quieted, with its payload
+    /// (`add_keeping_nan`), so the bits do not depend on how the bands
+    /// split the elements.
     pub fn axpy(&mut self, alpha: f32, other: &Tensor) -> Result<()> {
         if self.shape() != other.shape() {
             return Err(TensorError::ShapeMismatch {
@@ -96,8 +115,8 @@ impl Tensor {
         let threads = parallel::effective_threads(self.len());
         let ys = other.as_slice();
         parallel::for_each_band(self.as_mut_slice(), 1, threads, |i0, band| {
-            for (off, x) in band.iter_mut().enumerate() {
-                *x += alpha * ys[i0 + off];
+            for (x, &y) in band.iter_mut().zip(&ys[i0..]) {
+                *x = add_keeping_nan(*x, alpha * y);
             }
         });
         Ok(())

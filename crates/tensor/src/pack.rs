@@ -11,26 +11,28 @@
 //! [`pairwise_sq_dists`]: crate::Tensor::pairwise_sq_dists
 //!
 //! * **Row kernel**, when the whole output is one row block (`m ≤ MR` of
-//!   the active tier) and B is read plain — every `Dense::forward` at
-//!   serving shapes. One row block would read each packed B panel exactly
-//!   once, so packing would only copy B to read it back; the row kernel
-//!   streams each row of B once, in place, and adds `a(i, kk)·b(kk, :)`
-//!   into output rows held in L1, `kk` ascending. It runs on the calling
-//!   thread.
+//!   the active tier), B is read plain and the product is stored as it is
+//!   — every `Dense::forward` at serving shapes. One row block would read
+//!   each packed B panel exactly once, so packing would only copy B to
+//!   read it back; the row kernel streams each row of B once, in place,
+//!   and adds `a(i, kk)·b(kk, :)` into output rows held in L1, `kk`
+//!   ascending. It runs on the calling thread.
 //! * **Packed tiles**, for everything else, including every transposed B
 //!   (reading one in place would be a strided gather):
 //!   1. **Pack B** once per call into `⌈n/NR⌉` column panels of `k × NR`
 //!      contiguous floats (`bp[panel][kk·NR + j]`), zero-padded on the
-//!      last panel. A transposed right-hand side is just a different
-//!      gather order here — there is no separate loop nest per transpose
-//!      variant.
+//!      last panel, in the calling thread's packing buffer, which is kept
+//!      and reused across calls. A transposed right-hand side is just a
+//!      different gather order here — there is no separate loop nest per
+//!      transpose variant.
 //!   2. **Pack A** per `MR`-row block into an `MR × k` panel laid out
 //!      `ap[kk·MR + i]`, again zero-padded, so the microkernel reads both
 //!      operands with unit stride.
 //!   3. The **microkernel** accumulates an `MR × NR` tile in registers
 //!      over the *entire* `k` extent in one fixed ascending-`k` chain of
-//!      `acc += a·b` updates, then an optional epilogue maps the tile
-//!      before it is stored.
+//!      `acc += a·b` updates, then the epilogue stores the tile: as it
+//!      is, through the squared-distance combine, or added into the
+//!      output already there.
 //!
 //! # Determinism
 //!
@@ -61,7 +63,9 @@
 //! byte-comparison; an unrecognised value warns once on stderr and falls
 //! back to auto-detection. [`active_simd`] reports the selected tier.
 
+use crate::ops::add_keeping_nan;
 use crate::parallel;
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 /// SIMD tier the GEMM kernels dispatch to, selected once per process.
@@ -189,7 +193,7 @@ impl<'a> Operand<'a> {
     }
 }
 
-/// Per-tile epilogue applied to the accumulator before it is stored.
+/// Per-tile epilogue: how the finished accumulator is stored.
 #[derive(Clone, Copy)]
 pub(crate) enum Epilogue<'a> {
     /// Store the raw product `A·B`.
@@ -204,28 +208,64 @@ pub(crate) enum Epilogue<'a> {
         /// Per-row squared norms of the right operand (`len == n`).
         y_sq: &'a [f32],
     },
+    /// Add the product into the output: each element `o` becomes `o + d`
+    /// (`ops::add_keeping_nan`), the value `axpy(1.0, …)` of the
+    /// stored product gives, with no product-sized temporary.
+    Accumulate,
 }
 
 impl Epilogue<'_> {
-    /// Maps the finished dot products of output row `r`, columns
-    /// `[j0, j0 + row.len())`, in place.
-    fn apply(self, r: usize, j0: usize, row: &mut [f32]) {
-        if let Epilogue::SqDist { x_sq, y_sq } = self {
-            let xs = x_sq[r];
-            for (o, &ys) in row.iter_mut().zip(&y_sq[j0..]) {
-                *o = (xs + ys - 2.0 * *o).max(0.0);
+    /// Stores the finished dot products `acc` of output row `r`, columns
+    /// `[j0, j0 + out.len())`, into `out`.
+    fn store(self, r: usize, j0: usize, acc: &[f32], out: &mut [f32]) {
+        match self {
+            Epilogue::None => out.copy_from_slice(acc),
+            Epilogue::SqDist { x_sq, y_sq } => {
+                let xs = x_sq[r];
+                for ((o, &d), &ys) in out.iter_mut().zip(acc).zip(&y_sq[j0..]) {
+                    *o = (xs + ys - 2.0 * d).max(0.0);
+                }
+            }
+            Epilogue::Accumulate => {
+                for (o, &d) in out.iter_mut().zip(acc) {
+                    *o = add_keeping_nan(*o, d);
+                }
             }
         }
     }
 }
 
-/// Packs the `⌈n/NR⌉` column panels of `b` (`k × n` logical), zero-padding
-/// the final panel: `out[p·k·NR + kk·NR + j] = b(kk, p·NR + j)`.
-fn pack_b<const NR: usize>(b: Operand<'_>, k: usize, n: usize) -> Vec<f32> {
-    let panels = n.div_ceil(NR);
-    let mut bp = vec![0.0f32; panels * k * NR];
+thread_local! {
+    /// This thread's packing buffer for B: grown to the largest packed B
+    /// the thread has needed and kept for the thread's lifetime, so a GEMM
+    /// allocates no B-sized buffer once its shape has been seen.
+    static PACKED_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on a packing buffer of exactly `len` floats: this thread's
+/// [`PACKED_B`], or, for a GEMM nested inside another on the same thread
+/// (whose bands still read the thread's buffer), a buffer of its own.
+/// The contents on entry are stale; [`pack_b`] overwrites every float.
+fn with_packing_buffer<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    PACKED_B.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut buf) => {
+            if buf.len() < len {
+                *buf = vec![0.0; len];
+            }
+            f(&mut buf[..len])
+        }
+        Err(_) => f(&mut vec![0.0; len]),
+    })
+}
+
+/// Packs the `⌈n/NR⌉` column panels of `b` (`k × n` logical) into `bp`
+/// (`⌈n/NR⌉·k·NR` floats), zero-padding the final panel:
+/// `bp[p·k·NR + kk·NR + j] = b(kk, p·NR + j)`. Every float of `bp` is
+/// written, padding included, so a reused buffer carries nothing over.
+fn pack_b<const NR: usize>(b: Operand<'_>, k: usize, n: usize, bp: &mut [f32]) {
+    debug_assert_eq!(bp.len(), n.div_ceil(NR) * k * NR);
     if k == 0 {
-        return bp; // nothing to pack; the k-loop of the microkernel is empty
+        return; // nothing to pack; the k-loop of the microkernel is empty
     }
     for (p, panel) in bp.chunks_mut(k * NR).enumerate() {
         let j0 = p * NR;
@@ -239,13 +279,18 @@ fn pack_b<const NR: usize>(b: Operand<'_>, k: usize, n: usize) -> Vec<f32> {
                     panel[kk * NR + j] = v;
                 }
             }
+            if w < NR {
+                for dst in panel.chunks_mut(NR) {
+                    dst[w..].fill(0.0);
+                }
+            }
         } else {
             for (kk, dst) in panel.chunks_mut(NR).enumerate() {
                 dst[..w].copy_from_slice(&b.data[kk * b.ld + j0..kk * b.ld + j0 + w]);
+                dst[w..].fill(0.0);
             }
         }
     }
-    bp
 }
 
 /// Packs rows `[i0, i0 + rows)` of `a` (`m × k` logical) into an `MR × k`
@@ -495,8 +540,7 @@ fn band_gemm<const MR: usize, const NR: usize>(
             unsafe { mk(&ap, panel, k, &mut acc) };
             for (i, acc_row) in acc.iter().enumerate().take(mrows) {
                 let out_row = &mut band[(bi + i) * n + j0..(bi + i) * n + j0 + w];
-                out_row.copy_from_slice(&acc_row[..w]);
-                epilogue.apply(row0 + bi + i, j0, out_row);
+                epilogue.store(row0 + bi + i, j0, &acc_row[..w], out_row);
             }
         }
         bi += mrows;
@@ -515,11 +559,12 @@ fn drive<const MR: usize, const NR: usize>(
     rows: RowKernel,
 ) {
     let (m, k, n) = dims;
-    if m <= MR && !b.transposed {
+    if m <= MR && !b.transposed && matches!(epilogue, Epilogue::None) {
         // One row block reads every B panel exactly once, so packing would
         // copy B only to read it back: stream it in place instead. A
         // transposed B still packs, since reading it in place would gather
-        // with stride `ld`.
+        // with stride `ld`, and so does an epilogue, since the row kernel
+        // builds its chains in the output itself.
         // SAFETY: `rows` is only ever a kernel whose required target
         // features were verified by `active_simd()` at dispatch.
         unsafe { rows(a, b, dims, out) };
@@ -529,15 +574,15 @@ fn drive<const MR: usize, const NR: usize>(
         // compiler picks per kernel, so a product holding a NaN is redone
         // on the packed tiles and keeps their payloads.
         if !out.iter().fold(false, |nan, v| nan | v.is_nan()) {
-            for (r, row) in out.chunks_mut(n).enumerate() {
-                epilogue.apply(r, 0, row);
-            }
             return;
         }
     }
-    let bp = pack_b::<NR>(b, k, n);
-    parallel::for_each_band(out, n, threads, |row0, band| {
-        band_gemm::<MR, NR>(a, &bp, k, n, row0, band, epilogue, mk);
+    with_packing_buffer(n.div_ceil(NR) * k * NR, |bp| {
+        pack_b::<NR>(b, k, n, bp);
+        let bp: &[f32] = bp;
+        parallel::for_each_band(out, n, threads, |row0, band| {
+            band_gemm::<MR, NR>(a, bp, k, n, row0, band, epilogue, mk);
+        });
     });
 }
 

@@ -63,11 +63,12 @@
 #  19. the perfbench gate: build and test the perfbench package
 #      (perfbench/Cargo.toml, outside the workspace), so a change to an
 #      API it imports fails here rather than at benchmark time
-#  20. the SIMD tier matrix (docs/KERNELS.md): the pilote-tensor tests
-#      and the kernel property suite again under PILOTE_SIMD=avx2 and
-#      under PILOTE_SIMD=baseline, so every tier's row kernel and packed
-#      tiles are checked; a cap above the host's tier changes nothing, so
-#      the step is safe on any host
+#  20. the SIMD tier matrix (docs/KERNELS.md): the pilote-tensor tests,
+#      the kernel property suite and the layer property suite again under
+#      PILOTE_SIMD=avx2 and under PILOTE_SIMD=baseline, so every tier's
+#      row kernel and packed tiles are checked, and so is the accumulate
+#      epilogue `Dense::backward` adds dW through; a cap above the host's
+#      tier changes nothing, so the step is safe on any host
 #
 # Usage: ./scripts/ci.sh   (from anywhere; cd's to the repo root)
 
@@ -410,9 +411,9 @@ cargo test --release --manifest-path perfbench/Cargo.toml -q
 # --- SIMD tier matrix (docs/KERNELS.md) -----------------------------------
 
 for tier in avx2 baseline; do
-  step "kernels at PILOTE_SIMD=$tier: pilote-tensor tests and the kernel property suite"
+  step "kernels at PILOTE_SIMD=$tier: pilote-tensor tests, the kernel and layer property suites"
   PILOTE_SIMD="$tier" cargo test --release -p pilote-tensor -q
-  PILOTE_SIMD="$tier" cargo test --release --test kernel_props -q
+  PILOTE_SIMD="$tier" cargo test --release --test kernel_props --test layer_props -q
 done
 
 printf '\nci.sh: all gates passed\n'

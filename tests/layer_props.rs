@@ -15,14 +15,18 @@
 //! A NaN must be met by a NaN, but its payload is not compared. Which
 //! payload survives where two NaNs meet is picked per instruction by the
 //! compiler, which treats `fadd` and `fmul` as commutative: the
-//! reference's own `axpy` keeps the first operand's payload in its
-//! vectorised body and the second's in its scalar tail. Source operand
-//! order cannot pin it.
+//! reference's `try_mul` and `try_add` broadcasts, for one, fix no operand
+//! order. Source operand order cannot pin it.
 //!
 //! `infer` must equal `forward(Mode::Eval)` for each layer, a `Sequential`
 //! and `EmbeddingNet::embed`, and leave no cache for `backward` to use.
 //! `BatchNorm1d` must refuse an input of the wrong width at 1 and 4
 //! threads, in both modes and in `infer`.
+//!
+//! A `Sequential` that moves each activation and gradient to the next
+//! layer (`forward_owned`, `backward_owned`) must equal the same layers
+//! driven one by one through the borrowed `forward` and `backward`, in
+//! both modes: output, dX and every gradient, over two backwards.
 
 use pilote::core::{EmbeddingNet, NetConfig};
 use pilote::nn::{BatchNorm1d, Dense, Layer, Mode, ReLU, Sequential};
@@ -311,6 +315,51 @@ fn dense_matches_the_unfused_composition() {
         let eval = dense.forward(&x, Mode::Eval);
         assert_bits(&dense.infer(&x), &eval, &format!("{case}: infer"));
         assert_backward_panics(&mut dense, &dy1, &case);
+    });
+}
+
+#[test]
+fn the_owned_chain_equals_the_borrowed_layers_one_by_one() {
+    for_each_case(|m, d| {
+        let seed = (m * 131 + d) as u64;
+        let mut rng = Rng64::new(seed);
+        let mut bn = BatchNorm1d::new(d);
+        set_affine(&mut bn, seed);
+        // A clean training batch first, so the running statistics move.
+        bn.forward(&Tensor::randn([16, d], 1.0, 3.0, &mut rng), Mode::Train);
+        let mut layers: Vec<Box<dyn Layer>> = vec![
+            Box::new(Dense::new(DENSE_IN, d, &mut rng)),
+            Box::new(bn),
+            Box::new(ReLU::new()),
+            Box::new(Dense::new(d, 9, &mut rng)),
+        ];
+        let (x, _, _) = operands(m, DENSE_IN, seed);
+        let (_, dy1, dy2) = operands(m, 9, seed);
+        for mode in [Mode::Eval, Mode::Train] {
+            let case = format!("Sequential {mode:?} m={m} d={d}");
+            let mut net = Sequential::new();
+            for layer in &layers {
+                net.push_boxed(layer.clone());
+            }
+            let mut reference = layers.clone();
+
+            let y = net.forward_owned(x.clone(), mode);
+            let want = reference.iter_mut().fold(x.clone(), |x, layer| layer.forward(&x, mode));
+            assert_bits(&y, &want, &format!("{case}: output"));
+            for (k, dy) in [&dy1, &dy2].into_iter().enumerate() {
+                let dx = net.backward_owned(dy.clone());
+                let want = reference.iter_mut().rev().fold(dy.clone(), |g, l| l.backward(&g));
+                assert_bits(&dx, &want, &format!("{case}: dX of backward {k}"));
+            }
+            let got = params(&mut net);
+            let want: Vec<_> = reference.iter_mut().flat_map(|l| params(l.as_mut())).collect();
+            assert_eq!(got.len(), want.len(), "{case}: parameter count");
+            for (i, ((p, g), (wp, wg))) in got.iter().zip(&want).enumerate() {
+                assert_bits(p, wp, &format!("{case}: parameter {i}"));
+                assert_bits(g, wg, &format!("{case}: gradient {i} after two backwards"));
+            }
+            layers = reference;
+        }
     });
 }
 

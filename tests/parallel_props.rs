@@ -33,6 +33,28 @@ fn assert_thread_invariant(f: impl Fn() -> Tensor) {
     parallel::configure(saved);
 }
 
+/// `axpy` where two NaNs meet: `x` holds payload 0x11 and `y` payload
+/// 0x22 in every element, and `x.axpy(1.0, &y)` must give the same bits
+/// at 1 and at 4 threads. Lengths 9, 37 and 64 put elements in full chunks,
+/// ragged band ends and bands shorter than a chunk.
+#[test]
+fn axpy_nan_payloads_do_not_depend_on_the_band_layout() {
+    let nan = |payload: u32| f32::from_bits(0x7fc0_0000 | payload);
+    let _guard = CONFIG_LOCK.lock().unwrap();
+    let saved = parallel::current();
+    for n in [9usize, 37, 64] {
+        let bits = |threads: usize| {
+            parallel::configure(ThreadConfig { num_threads: threads, min_parallel_len: 0 });
+            let mut x = Tensor::full([n], nan(0x11));
+            x.axpy(1.0, &Tensor::full([n], nan(0x22))).unwrap();
+            x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let (serial, parallel_bits) = (bits(1), bits(4));
+        parallel::configure(saved);
+        assert_eq!(serial, parallel_bits, "n = {n}: axpy payloads differ at 1 and 4 threads");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
