@@ -5,14 +5,18 @@
 //! thin shape-checking wrappers around the GEMM in [`crate::pack`]. A
 //! product whose output is one row block (`m` no taller than the active
 //! SIMD tier's register tile) and whose right-hand side is read plain
-//! (`matmul`, `t_matmul`) takes the row kernel, which streams B in place.
-//! Every other product takes the packed, register-tiled kernel: operands
-//! are packed into contiguous panels (a transposed operand is just a
-//! different packing gather, not a separate loop nest) and each `MR × NR`
-//! output tile is accumulated in registers over the full `k` extent. Both
-//! paths accumulate each output element in fixed ascending-`k` order with
-//! the same `mul`-then-`add` chain, so they agree bit for bit. Layout
-//! details and the performance model live in `docs/KERNELS.md`.
+//! (`matmul`, `t_matmul`) takes the row kernel, which reads B in place: on
+//! AVX-512 into a register tile over k-blocks of B, with the partial sums
+//! parked in the output between blocks; on the other tiers streaming each
+//! row of B into output rows held in L1. Every other product takes the
+//! packed, register-tiled kernel: operands are packed into contiguous
+//! panels (a transposed operand is just a different packing gather, not a
+//! separate loop nest) and each `MR × NR` output tile is accumulated in
+//! registers over the full `k` extent. Both paths accumulate each output
+//! element in fixed ascending-`k` order with the same `mul`-then-`add`
+//! chain (a parked partial sum comes back exactly), so they agree bit for
+//! bit. Layout details and the performance model live in
+//! `docs/KERNELS.md`.
 //!
 //! The packed kernel is parallelised over contiguous bands of *output
 //! rows* via [`crate::parallel`]; the row kernel runs on the calling

@@ -14,9 +14,14 @@
 //!   the active tier), B is read plain and the product is stored as it is
 //!   — every `Dense::forward` at serving shapes. One row block would read
 //!   each packed B panel exactly once, so packing would only copy B to
-//!   read it back; the row kernel streams each row of B once, in place,
-//!   and adds `a(i, kk)·b(kk, :)` into output rows held in L1, `kk`
-//!   ascending. It runs on the calling thread.
+//!   read it back; the row kernel reads B in place and runs on the calling
+//!   thread. On AVX-512 it holds the output in a register tile of 16 `zmm`
+//!   accumulators (1×256, 2×128, 4×64 or 8×32 by `m`, fewer columns for a
+//!   narrower output) over k-blocks of 64 rows of B, and parks each tile's
+//!   partial sums in the output between blocks; a tile narrower than 1 KB
+//!   of each row of B prefetches the next strip's rows of B into L2 as it
+//!   goes. On AVX2 and the portable tier it streams each row of B once and
+//!   adds `a(i, kk)·b(kk, :)` into output rows held in L1.
 //! * **Packed tiles**, for everything else, including every transposed B
 //!   (reading one in place would be a strided gather):
 //!   1. **Pack B** once per call into `⌈n/NR⌉` column panels of `k × NR`
@@ -42,8 +47,10 @@
 //! identical
 //!
 //! * on both paths — the row kernel's output row and the tile's register
-//!   run the same chain, so a row's bits do not depend on how many rows
-//!   share its call (`tests/kernel_props.rs`);
+//!   run the same chain (a partial sum parked in the output between
+//!   k-blocks comes back exactly, since an f32 store and reload is exact),
+//!   so a row's bits do not depend on how many rows share its call
+//!   (`tests/kernel_props.rs`);
 //! * at every thread count — bands only choose *which* tile a row lands
 //!   in, never the per-element operation sequence (`docs/THREADING.md`);
 //! * at every tile shape — zero padding contributes `acc + (±0·b)`
@@ -57,8 +64,9 @@
 //! # SIMD dispatch
 //!
 //! The kernel instantiations are chosen once per process: AVX-512F (8×32
-//! tile), AVX2 (6×16), or the portable autovectorised fallback (4×16),
-//! each with its own row kernel. `PILOTE_SIMD` (`avx512` | `avx2` |
+//! tile, and the register-tiled row kernel), AVX2 (6×16), or the portable
+//! autovectorised fallback (4×16), the last two each with their own
+//! instance of the streaming row kernel. `PILOTE_SIMD` (`avx512` | `avx2` |
 //! `baseline` | `auto`) caps the tier, e.g. for cross-tier
 //! byte-comparison; an unrecognised value warns once on stderr and falls
 //! back to auto-detection. [`active_simd`] reports the selected tier.
@@ -180,6 +188,17 @@ impl<'a> Operand<'a> {
     /// The transpose of a row-major `[cols, ld]` matrix.
     pub(crate) fn transposed(data: &'a [f32], ld: usize) -> Self {
         Operand { data, ld, transposed: true }
+    }
+
+    /// `(row, column)` strides: logical element `(r, c)` is
+    /// `data[r·row + c·column]`.
+    #[cfg(target_arch = "x86_64")]
+    fn strides(&self) -> (usize, usize) {
+        if self.transposed {
+            (1, self.ld)
+        } else {
+            (self.ld, 1)
+        }
     }
 
     /// Logical element `(r, c)`.
@@ -420,21 +439,22 @@ unsafe fn mk_avx512(ap: &[f32], bp: &[f32], k: usize, acc: &mut [[f32; 32]; 8]) 
 type Microkernel<const MR: usize, const NR: usize> =
     unsafe fn(&[f32], &[f32], usize, &mut [[f32; NR]; MR]);
 
-/// Output columns per strip of the row kernel. A strip of every output row
-/// (at most 8 × 256 floats, 8 KB) stays in L1 for the whole `k` loop, and
+/// Output columns per strip of [`rows_impl`]. A strip of every output row
+/// (at most 6 × 256 floats, 6 KB) stays in L1 for the whole `k` loop, and
 /// each B row segment it reads is a contiguous run of up to 1 KB, long
 /// enough for the hardware prefetchers.
 const ROW_STRIP: usize = 256;
 
-/// The single-row-block body: `out = A·B` for an A of at most `MR` rows
-/// (either orientation) and a plain B read in place, one strip of output
-/// columns at a time. For each `kk` in ascending order it adds
-/// `a(i, kk)·b(kk, j)` into the output rows, so every element is the same
-/// `0 + a·b + a·b …` chain of `mul` then `add` as the register tile's
-/// accumulator, bit for bit. Four consecutive `kk` share one pass over the
-/// output rows, so each output value makes one round trip through L1 per
-/// four steps of its chain. Like [`microkernel_impl`], the
-/// `#[target_feature]` wrappers below only widen the registers.
+/// The single-row-block body of the AVX2 and portable tiers: `out = A·B`
+/// for an A of at most `MR` rows (either orientation) and a plain B read
+/// in place, one strip of output columns at a time. For each `kk` in
+/// ascending order it adds `a(i, kk)·b(kk, j)` into the output rows, so
+/// every element is the same `0 + a·b + a·b …` chain of `mul` then `add`
+/// as the register tile's accumulator, bit for bit. Four consecutive `kk`
+/// share one pass over the output rows, so each output value makes one
+/// round trip through L1 per four steps of its chain. Like
+/// [`microkernel_impl`], the `#[target_feature]` wrappers below only widen
+/// the registers.
 #[inline(always)]
 fn rows_impl(a: Operand<'_>, b: Operand<'_>, (m, k, n): (usize, usize, usize), out: &mut [f32]) {
     debug_assert!(!b.transposed, "the row kernel reads B in place");
@@ -489,7 +509,18 @@ unsafe fn rows_avx2(a: Operand<'_>, b: Operand<'_>, dims: (usize, usize, usize),
     rows_impl(a, b, dims, out)
 }
 
-/// AVX-512F instantiation of [`rows_impl`].
+/// Rows of B in one k-block of [`rows_avx512`]. Each output strip makes one
+/// round trip through memory per block, and the strips sweep the block's
+/// rows of B (128 KB at the paper net's 512-wide layer) one column strip
+/// at a time. 32–64 measured best.
+#[cfg(target_arch = "x86_64")]
+const KC: usize = 64;
+
+/// AVX-512F row kernel: the contract of [`rows_impl`], with the output
+/// held in a register tile of 16 `zmm` accumulators at every height: 1×256,
+/// 2×128, 4×64 or 8×32, the lowest of those heights that covers `m`. An
+/// output narrower than the tile takes a tile of fewer vectors, the fewest
+/// (a power of two) that cover `n`, so no vector of a narrow layer idles.
 ///
 /// # Safety
 /// The caller must ensure the host supports AVX-512F.
@@ -501,7 +532,170 @@ unsafe fn rows_avx512(
     dims: (usize, usize, usize),
     out: &mut [f32],
 ) {
-    rows_impl(a, b, dims, out)
+    let (m, _, n) = dims;
+    // SAFETY: the caller verified AVX-512F.
+    unsafe {
+        match (m, n.div_ceil(16).next_power_of_two()) {
+            (1, 1) => rows_tile_avx512::<1, 1>(a, b, dims, out),
+            (1, 2) => rows_tile_avx512::<1, 2>(a, b, dims, out),
+            (1, 4) => rows_tile_avx512::<1, 4>(a, b, dims, out),
+            (1, 8) => rows_tile_avx512::<1, 8>(a, b, dims, out),
+            (1, _) => rows_tile_avx512::<1, 16>(a, b, dims, out),
+            (2, 1) => rows_tile_avx512::<2, 1>(a, b, dims, out),
+            (2, 2) => rows_tile_avx512::<2, 2>(a, b, dims, out),
+            (2, 4) => rows_tile_avx512::<2, 4>(a, b, dims, out),
+            (2, _) => rows_tile_avx512::<2, 8>(a, b, dims, out),
+            (3 | 4, 1) => rows_tile_avx512::<4, 1>(a, b, dims, out),
+            (3 | 4, 2) => rows_tile_avx512::<4, 2>(a, b, dims, out),
+            (3 | 4, _) => rows_tile_avx512::<4, 4>(a, b, dims, out),
+            (_, 1) => rows_tile_avx512::<8, 1>(a, b, dims, out),
+            (_, _) => rows_tile_avx512::<8, 2>(a, b, dims, out),
+        }
+    }
+}
+
+/// One tile shape of [`rows_avx512`]: `R` rows by `V` vectors of 16
+/// columns, swept over k-blocks of [`KC`] rows of B and, within each
+/// block, over strips of `16·V` output columns. A strip that reaches past
+/// `n` takes the lane-masked body.
+///
+/// # Safety
+/// The caller must ensure the host supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn rows_tile_avx512<const R: usize, const V: usize>(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    (m, k, n): (usize, usize, usize),
+    out: &mut [f32],
+) {
+    debug_assert!(!b.transposed, "the row kernel reads B in place");
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    // The extents every pointer of the strip body stays inside.
+    let (rs, cs) = a.strides();
+    assert!((1..=R).contains(&m) && out.len() == m * n);
+    assert!(a.data.len() > (m - 1) * rs + (k - 1) * cs);
+    assert!(b.data.len() >= (k - 1) * b.ld + n);
+    // A strip of 1 KB per row (the 1×256 tile), or one as wide as the
+    // output, reads B in runs the hardware prefetchers follow; a narrower
+    // strip prefetches the next one's rows.
+    let prefetch = V < 16 && n > 16 * V;
+    for k0 in (0..k).step_by(KC) {
+        let kb = k0..k.min(k0 + KC);
+        for j0 in (0..n).step_by(16 * V) {
+            // Where the next strip reads B, relative to this one's rows:
+            // the columns to the right, or, after a block's last strip,
+            // the first columns of the next block.
+            let next = prefetch.then(|| if j0 + 16 * V < n { (0, j0 + 16 * V) } else { (KC, 0) });
+            // SAFETY: AVX-512F is verified by the caller, and the asserts
+            // above are the strip body's extents.
+            unsafe {
+                if j0 + 16 * V <= n {
+                    rows_strip_avx512::<R, V, false>(a, b, (m, k, n), kb.clone(), j0, next, out)
+                } else {
+                    rows_strip_avx512::<R, V, true>(a, b, (m, k, n), kb.clone(), j0, next, out)
+                }
+            }
+        }
+    }
+}
+
+/// The register tile of [`rows_tile_avx512`] over rows `kb` of B and
+/// output columns `j0 .. j0 + 16·V`. It loads the strip's partial sums
+/// into registers (zero for the first block), adds `a(i, kk)·b(kk, j)` for
+/// ascending `kk` as an explicit multiply then add, and stores the sums
+/// back. An f32 store and reload is exact, so every element runs the one
+/// `0 + a·b + a·b …` chain of [`rows_impl`] and the packed tiles. Rows past
+/// `m` repeat row `m − 1` and are never stored. With `TAIL`, the strip
+/// reaches past `n` and every load and store goes through lane masks.
+///
+/// With `next`, at each `kk` it also prefetches into L2 the lines the next
+/// strip reads from B row `kk + next.0`, columns `next.1 ..`. A strip of
+/// 64–512 bytes per row reads from each of up to 64 rows a whole row
+/// stride apart, a pattern the hardware prefetchers do not follow, so
+/// without this every strip waits on L2 or the last-level cache for its
+/// rows of B, and how long depends on what else the host is doing. A
+/// prefetch is a hint that reads nothing the program sees and cannot
+/// fault.
+///
+/// # Safety
+/// The caller must ensure the host supports AVX-512F, that `1 ≤ m ≤ R`,
+/// that `out` is `m × n`, that A holds `a(m − 1, kb.end − 1)`, that B
+/// holds `b(kb.end − 1, n − 1)`, that `j0 < n`, and, without `TAIL`, that
+/// `j0 + 16·V ≤ n`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn rows_strip_avx512<const R: usize, const V: usize, const TAIL: bool>(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    (m, k, n): (usize, usize, usize),
+    kb: std::ops::Range<usize>,
+    j0: usize,
+    next: Option<(usize, usize)>,
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let (rs, cs) = a.strides();
+    // Lane masks of the strip's vectors: full but in the column tail. A
+    // vector with no live lane reads and writes nothing, so it points at
+    // the strip's start, which is in bounds.
+    let mut mask: [__mmask16; V] = [0; V];
+    let mut off = [0usize; V];
+    for (v, (mask, off)) in mask.iter_mut().zip(&mut off).enumerate() {
+        let live = (n - j0).saturating_sub(16 * v).min(16);
+        *mask = ((1u32 << live) - 1) as __mmask16;
+        *off = if live == 0 { 0 } else { 16 * v };
+    }
+    let (a_ptr, out_ptr) = (a.data.as_ptr(), out.as_mut_ptr());
+    let mut c = [[_mm512_setzero_ps(); V]; R];
+    if kb.start > 0 {
+        for (i, ci) in c.iter_mut().enumerate().take(m) {
+            for v in 0..V {
+                // SAFETY: row `i < m` of the output is `out[i·n .. (i+1)·n]`,
+                // and the live lanes of vector `v` are columns below `n`.
+                ci[v] = unsafe { _mm512_maskz_loadu_ps(mask[v], out_ptr.add(i * n + j0 + off[v])) };
+            }
+        }
+    }
+    for kk in kb {
+        let mut av = [_mm512_setzero_ps(); R];
+        for (i, ai) in av.iter_mut().enumerate() {
+            // SAFETY: `i` is clamped below `m` and `kk < kb.end`.
+            *ai = _mm512_set1_ps(unsafe { *a_ptr.add(i.min(m - 1) * rs + kk * cs) });
+        }
+        // SAFETY: B row `kk` holds columns `j0 ..` up to `n`; without
+        // `TAIL` all `16·V` of them, with it the live lanes.
+        let b_row = unsafe { b.data.as_ptr().add(kk * b.ld + j0) };
+        if let Some((next_rows, next_col)) = next.filter(|&(rows, _)| kk + rows < k) {
+            let row = b.data.as_ptr().wrapping_add((kk + next_rows) * b.ld + next_col).cast::<i8>();
+            let lead = row as usize % 64;
+            for line in (0..lead + 4 * (16 * V).min(n - next_col)).step_by(64) {
+                _mm_prefetch::<_MM_HINT_T1>(row.wrapping_add(line).wrapping_sub(lead));
+            }
+        }
+        for v in 0..V {
+            let bv = unsafe {
+                if TAIL {
+                    _mm512_maskz_loadu_ps(mask[v], b_row.add(off[v]))
+                } else {
+                    _mm512_loadu_ps(b_row.add(16 * v))
+                }
+            };
+            for (ci, &ai) in c.iter_mut().zip(&av) {
+                ci[v] = _mm512_add_ps(ci[v], _mm512_mul_ps(ai, bv));
+            }
+        }
+    }
+    for (i, ci) in c.iter().enumerate().take(m) {
+        for v in 0..V {
+            // SAFETY: as for the loads of the partial sums.
+            unsafe { _mm512_mask_storeu_ps(out_ptr.add(i * n + j0 + off[v]), mask[v], ci[v]) };
+        }
+    }
 }
 
 /// A single-row-block kernel: `(a, b, (m, k, n), out)`. Unsafe for the
@@ -678,7 +872,11 @@ mod tests {
         let mut rng = Rng64::new(11);
         // The serving shapes (one window through the first two layers, a
         // full 8-window session) and small odd ones: a tier takes the row
-        // kernel when `m` fits its `MR`, the packed tiles otherwise.
+        // kernel when `m` fits its `MR`, the packed tiles otherwise. The
+        // rest put AVX-512 row tiles (1×256, 2×128, 4×64, 8×32, and the
+        // narrower ones of narrower outputs) on whole strips and on a
+        // column tail, across k-blocks of 64 rows with and without a
+        // partial last block.
         let shapes = [
             (1usize, 1usize, 1usize),
             (7, 63, 9),
@@ -689,6 +887,15 @@ mod tests {
             (5, 65, 33),
             (8, 1024, 512),
             (3, 0, 7),
+            (1, 1024, 128),
+            (1, 130, 300),
+            (1, 65, 40),
+            (2, 129, 256),
+            (2, 65, 130),
+            (4, 65, 64),
+            (3, 129, 100),
+            (7, 130, 80),
+            (8, 80, 1024),
         ];
         for (m, k, n) in shapes {
             let a = Tensor::randn([m, k], 0.0, 1.0, &mut rng);
@@ -706,32 +913,34 @@ mod tests {
     /// When two NaNs meet in one chain, the payload that survives is the
     /// packed tiles' on every path: the row kernel's product at m = 1
     /// equals, bit for bit, the same row inside a 9-row (packed) product.
-    /// The two cases are a default NaN (`∞·0`) met by a planted one, and a
-    /// NaN in A multiplied by a NaN of another payload in B.
+    /// The two cases are a default NaN (`∞·0`, at `k = 0`) met by a planted
+    /// one at the chain's last step, and a NaN in A multiplied by a NaN of
+    /// another payload in B. At `k = 130` the chain crosses two k-blocks of
+    /// the AVX-512 row kernel, so the first NaN is stored and reloaded
+    /// before the second meets it; `n` is a column tail (17), and one
+    /// whole tile of 32 and of 256 columns.
     #[test]
     fn nan_payloads_do_not_depend_on_the_path() {
-        for k in [2usize, 5] {
+        let shapes = [2usize, 5, 130].into_iter().flat_map(|k| [17usize, 32, 256].map(|n| (k, n)));
+        for (k, n) in shapes {
             for case in 0..2 {
                 let mut a = vec![0.0f32; 9 * k];
-                let mut b = vec![0.0f32; k * 17];
+                let mut b = vec![0.0f32; k * n];
                 if case == 0 {
-                    (a[0], a[1], b[17]) = (f32::INFINITY, 1.0, f32::NAN);
+                    (a[0], a[k - 1], b[(k - 1) * n]) = (f32::INFINITY, 1.0, f32::NAN);
                 } else {
                     (a[0], b[0]) = (f32::from_bits(0x7fc0_0001), f32::from_bits(0x7fc0_0002));
                 }
                 let a = Tensor::from_vec(a, [9, k]).unwrap();
-                let b = Tensor::from_vec(b, [k, 17]).unwrap();
+                let b = Tensor::from_vec(b, [k, n]).unwrap();
                 let one = a.select_rows(&[0]).unwrap();
                 for tier in supported_tiers() {
                     let alone = gemm_plain(tier, &one, &b, 1);
                     let packed = gemm_plain(tier, &a, &b, 1);
-                    assert!(alone[0].is_nan(), "case {case}, k = {k}: {tier:?}");
+                    let at = format!("case {case}, k = {k}, n = {n}: {tier:?}");
+                    assert!(alone[0].is_nan(), "{at}");
                     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(
-                        bits(&alone),
-                        bits(&packed[..17]),
-                        "case {case}, k = {k}: {tier:?}"
-                    );
+                    assert_eq!(bits(&alone), bits(&packed[..n]), "{at}");
                 }
             }
         }

@@ -64,11 +64,13 @@
 #      (perfbench/Cargo.toml, outside the workspace), so a change to an
 #      API it imports fails here rather than at benchmark time
 #  20. the SIMD tier matrix (docs/KERNELS.md): the pilote-tensor tests,
-#      the kernel property suite and the layer property suite again under
-#      PILOTE_SIMD=avx2 and under PILOTE_SIMD=baseline, so every tier's
-#      row kernel and packed tiles are checked, and so is the accumulate
-#      epilogue `Dense::backward` adds dW through; a cap above the host's
-#      tier changes nothing, so the step is safe on any host
+#      the kernel property suite, the layer property suite and the
+#      allocation suite again under PILOTE_SIMD=avx2 and under
+#      PILOTE_SIMD=baseline, so every tier's row kernel and packed tiles
+#      are checked, and so are the accumulate epilogue `Dense::backward`
+#      adds dW through and each tier's row path allocating nothing but its
+#      output; a cap above the host's tier changes nothing, so the step is
+#      safe on any host
 #
 # Usage: ./scripts/ci.sh   (from anywhere; cd's to the repo root)
 
@@ -411,9 +413,10 @@ cargo test --release --manifest-path perfbench/Cargo.toml -q
 # --- SIMD tier matrix (docs/KERNELS.md) -----------------------------------
 
 for tier in avx2 baseline; do
-  step "kernels at PILOTE_SIMD=$tier: pilote-tensor tests, the kernel and layer property suites"
+  step "kernels at PILOTE_SIMD=$tier: pilote-tensor tests, the kernel, layer and allocation suites"
   PILOTE_SIMD="$tier" cargo test --release -p pilote-tensor -q
-  PILOTE_SIMD="$tier" cargo test --release --test kernel_props --test layer_props -q
+  PILOTE_SIMD="$tier" cargo test --release --test kernel_props --test layer_props \
+    --test step_alloc_props -q
 done
 
 printf '\nci.sh: all gates passed\n'

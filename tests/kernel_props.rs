@@ -72,9 +72,75 @@ const ADVERSARIAL: &[(usize, usize, usize)] = &[
 ];
 
 /// Chain lengths for `row_bits_do_not_depend_on_batch_height`: empty, one
-/// step, both sides of 64 (so the row kernel's four-step groups end with
-/// and without a remainder), and a long chain.
-const ROW_DEPTHS: [usize; 6] = [0, 1, 63, 64, 65, 200];
+/// step, both sides of 64 (the AVX-512 row kernel's k-block, and where the
+/// portable row kernel's four-step groups end with and without a
+/// remainder), two blocks and one step, a long chain, and the depth of
+/// the paper net's 1024 × 512 layer (sixteen whole blocks).
+const ROW_DEPTHS: [usize; 8] = [0, 1, 63, 64, 65, 129, 200, 1024];
+
+/// Output widths on the AVX-512 row kernel's tile widths (16 to 256
+/// columns: 8×32, 4×64, 2×128 and 1×256, and the narrower tiles of
+/// narrower outputs) and one past each, so a call's last strip is whole or
+/// has a one-column tail.
+const TILE_WIDTHS: [usize; 10] = [16, 17, 32, 33, 64, 65, 128, 129, 256, 257];
+
+/// Every row of an m-row product equals, bit for bit, the product of that
+/// row alone. `m` sweeps 1..=17, across every tier's `MR` and `2·MR + 1`,
+/// so each call lands on the single-row-block kernel (at each of its
+/// AVX-512 tile heights) or on the packed tiles; `k` sweeps `ROW_DEPTHS`.
+/// All four entry points, at 1 and 4 threads. Batched serving (m = 8
+/// windows per session against m = 1 per window) relies on this.
+fn assert_row_bits_do_not_depend_on_batch_height(seed: u64, n: usize) {
+    const M: usize = 17;
+    let mut rng = Rng64::new(seed);
+    let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let _guard = CONFIG_LOCK.lock().unwrap();
+    let saved = parallel::current();
+    for k in ROW_DEPTHS {
+        let x = Tensor::randn([M, k], 0.0, 1.0, &mut rng);
+        let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
+        let y = Tensor::randn([n, k], 0.0, 1.0, &mut rng);
+        // The four products of a `[rows, k]` left operand, in the order
+        // matmul, matmul_t, t_matmul (left operand stored transposed),
+        // pairwise_sq_dists.
+        let products = |a: &Tensor| {
+            [
+                a.matmul(&b).unwrap(),
+                a.matmul_t(&y).unwrap(),
+                a.transpose().unwrap().t_matmul(&b).unwrap(),
+                a.pairwise_sq_dists(&y).unwrap(),
+            ]
+        };
+        parallel::configure(ThreadConfig::serial());
+        let alone: Vec<_> = (0..M).map(|i| products(&x.select_rows(&[i]).unwrap())).collect();
+        for threads in [1usize, 4] {
+            parallel::configure(ThreadConfig { num_threads: threads, min_parallel_len: 0 });
+            for m in 1..=M {
+                let batch = products(&x.select_rows(&(0..m).collect::<Vec<_>>()).unwrap());
+                for (op, product) in batch.iter().enumerate() {
+                    for (i, single) in alone.iter().enumerate().take(m) {
+                        assert_eq!(
+                            bits(product.row(i)),
+                            bits(single[op].row(0)),
+                            "product {op} row {i} of m={m} (k={k}, n={n}, {threads} threads)"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    parallel::configure(saved);
+}
+
+/// [`assert_row_bits_do_not_depend_on_batch_height`] at every width of
+/// `TILE_WIDTHS`: a last strip with no column tail and one with a
+/// one-column tail, at each AVX-512 tile height.
+#[test]
+fn row_bits_do_not_depend_on_batch_height_at_tile_widths() {
+    for n in TILE_WIDTHS {
+        assert_row_bits_do_not_depend_on_batch_height(n as u64, n);
+    }
+}
 
 #[test]
 fn packed_matmul_matches_f64_reference_on_adversarial_shapes() {
@@ -207,61 +273,16 @@ proptest! {
         parallel::configure(saved);
     }
 
-    /// A row's bits do not depend on how many rows share its call: every
-    /// row of an m-row product equals, bit for bit, the product of that
-    /// row alone. `m` sweeps 1..=17, across every tier's `MR` and
-    /// `2·MR + 1`, so each call lands on the single-row-block kernel or on
-    /// the packed tiles; `k` sweeps `ROW_DEPTHS`; `n` is never a multiple
-    /// of 16 and reaches past one 256-column strip. All four entry points,
-    /// at 1 and 4 threads. Batched serving (m = 8 windows per session
-    /// against m = 1 per window) relies on this.
+    /// A row's bits do not depend on how many rows share its call
+    /// ([`assert_row_bits_do_not_depend_on_batch_height`]), at widths that
+    /// are never a multiple of 16 and reach past one 256-column strip.
     #[test]
     fn row_bits_do_not_depend_on_batch_height(
         seed in 0u64..10_000,
         n_panels in 0usize..18,
         n_rem in 1usize..16,
     ) {
-        const M: usize = 17;
-        let n = 16 * n_panels + n_rem;
-        let mut rng = Rng64::new(seed);
-        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let _guard = CONFIG_LOCK.lock().unwrap();
-        let saved = parallel::current();
-        for k in ROW_DEPTHS {
-            let x = Tensor::randn([M, k], 0.0, 1.0, &mut rng);
-            let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
-            let y = Tensor::randn([n, k], 0.0, 1.0, &mut rng);
-            // The four products of a `[rows, k]` left operand, in the order
-            // matmul, matmul_t, t_matmul (left operand stored transposed),
-            // pairwise_sq_dists.
-            let products = |a: &Tensor| {
-                [
-                    a.matmul(&b).unwrap(),
-                    a.matmul_t(&y).unwrap(),
-                    a.transpose().unwrap().t_matmul(&b).unwrap(),
-                    a.pairwise_sq_dists(&y).unwrap(),
-                ]
-            };
-            parallel::configure(ThreadConfig::serial());
-            let alone: Vec<_> =
-                (0..M).map(|i| products(&x.select_rows(&[i]).unwrap())).collect();
-            for threads in [1usize, 4] {
-                parallel::configure(ThreadConfig { num_threads: threads, min_parallel_len: 0 });
-                for m in 1..=M {
-                    let batch = products(&x.select_rows(&(0..m).collect::<Vec<_>>()).unwrap());
-                    for (op, product) in batch.iter().enumerate() {
-                        for (i, single) in alone.iter().enumerate().take(m) {
-                            prop_assert_eq!(
-                                bits(product.row(i)), bits(single[op].row(0)),
-                                "product {} row {} of m={} (k={}, n={}, {} threads)",
-                                op, i, m, k, n, threads
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        parallel::configure(saved);
+        assert_row_bits_do_not_depend_on_batch_height(seed, 16 * n_panels + n_rem);
     }
 
     /// The packed kernel stays bitwise thread-invariant on shapes around
