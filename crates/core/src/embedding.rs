@@ -2,7 +2,7 @@
 
 use crate::config::NetConfig;
 use pilote_nn::{BatchNorm1d, Checkpoint, CheckpointError, Dense, Layer, Mode, ReLU, Sequential};
-use pilote_tensor::{Rng64, Tensor};
+use pilote_tensor::{Rng64, Tensor, TensorError};
 
 /// The embedding network: a fully connected stack with BatchNorm + ReLU on
 /// every hidden layer and a linear final projection into the embedding
@@ -110,6 +110,48 @@ impl EmbeddingNet {
         self.net.forward(features, mode)
     }
 
+    /// `forward_mode(&features.select_rows(rows), mode)`, bit for bit, and
+    /// the caches that forward leaves, for [`EmbeddingNet::backward`].
+    ///
+    /// In `Mode::Eval` each output row depends on its own input row alone:
+    /// the network runs once on the distinct rows, and the output and every
+    /// layer's caches are then re-indexed to `rows` ([`Layer::gather_cache`]),
+    /// so the backward runs over every row as before while the forward's
+    /// flops are those of the distinct rows. When every row is distinct
+    /// there is nothing to re-index. In `Mode::Train` batch normalisation
+    /// normalises with the statistics of every row, repeats included, so
+    /// every row runs.
+    pub fn forward_rows(
+        &mut self,
+        features: &Tensor,
+        rows: &DistinctRows,
+        mode: Mode,
+    ) -> Result<Tensor, TensorError> {
+        match (&rows.gather, mode) {
+            (Some(gather), Mode::Eval) => {
+                let out = self.net.forward_owned(features.select_rows(&rows.distinct)?, mode);
+                self.net.gather_cache(gather);
+                out.select_rows(gather)
+            }
+            _ => Ok(self.net.forward_owned(features.select_rows(&rows.rows)?, mode)),
+        }
+    }
+
+    /// `embed(&features.select_rows(rows))`, bit for bit, embedding each
+    /// distinct row once; like [`EmbeddingNet::embed`], it leaves no
+    /// activation cache behind.
+    pub fn embed_rows(
+        &mut self,
+        features: &Tensor,
+        rows: &DistinctRows,
+    ) -> Result<Tensor, TensorError> {
+        let out = self.embed(&features.select_rows(&rows.distinct)?);
+        match &rows.gather {
+            Some(gather) => out.select_rows(gather),
+            None => Ok(out),
+        }
+    }
+
     /// Backpropagates an embedding-space gradient, accumulating parameter
     /// gradients.
     pub fn backward(&mut self, grad_embedding: &Tensor) -> Tensor {
@@ -141,6 +183,51 @@ impl EmbeddingNet {
     /// Parameter snapshot (see [`Sequential::state_dict`]).
     pub fn state_dict(&mut self) -> Vec<Tensor> {
         self.net.state_dict()
+    }
+}
+
+/// A list of rows of a feature matrix, repeats allowed, with its distinct
+/// rows found once: what [`EmbeddingNet::forward_rows`] and
+/// [`EmbeddingNet::embed_rows`] run the network on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DistinctRows {
+    /// The rows as listed.
+    rows: Vec<usize>,
+    /// Each distinct row once, in order of first occurrence.
+    distinct: Vec<usize>,
+    /// The position in `distinct` of each listed row; `None` when every
+    /// listed row is distinct, so `distinct` is `rows`.
+    gather: Option<Vec<usize>>,
+}
+
+impl DistinctRows {
+    /// Finds the distinct rows of `rows`, which index a matrix of `n` rows,
+    /// through a table of one slot per row of that matrix. A row of `n` or
+    /// more is `TensorError::OutOfBounds`.
+    pub fn new(rows: &[usize], n: usize) -> Result<Self, TensorError> {
+        const EMPTY: usize = usize::MAX;
+        let mut slots = vec![EMPTY; n];
+        let mut distinct = Vec::new();
+        let mut gather = Vec::with_capacity(rows.len());
+        for &row in rows {
+            let slot = slots.get_mut(row).ok_or(TensorError::OutOfBounds {
+                index: row,
+                bound: n,
+                op: "DistinctRows::new",
+            })?;
+            if *slot == EMPTY {
+                *slot = distinct.len();
+                distinct.push(row);
+            }
+            gather.push(*slot);
+        }
+        let gather = (distinct.len() < rows.len()).then_some(gather);
+        Ok(DistinctRows { rows: rows.to_vec(), distinct, gather })
+    }
+
+    /// Each distinct row once, in order of first occurrence.
+    pub fn distinct(&self) -> &[usize] {
+        &self.distinct
     }
 }
 
@@ -185,6 +272,80 @@ mod tests {
         let e = net.embed(&x);
         assert_eq!(e.shape().dims(), &[7, cfg.embedding_dim]);
         assert!(e.all_finite());
+    }
+
+    #[test]
+    fn distinct_rows_keep_first_occurrence_order_and_gather_only_repeats() {
+        let rows = DistinctRows::new(&[4, 1, 4, 0, 1, 4], 5).unwrap();
+        assert_eq!(rows.rows, &[4, 1, 4, 0, 1, 4]);
+        assert_eq!(rows.distinct(), &[4, 1, 0]);
+        assert_eq!(rows.gather.as_deref(), Some(&[0, 1, 0, 2, 1, 0][..]));
+        let once = DistinctRows::new(&[3, 0, 2], 4).unwrap();
+        assert_eq!((once.distinct(), once.gather.as_deref()), (&[3, 0, 2][..], None));
+        let err = DistinctRows::new(&[0, 5], 5).unwrap_err();
+        assert!(matches!(err, TensorError::OutOfBounds { index: 5, bound: 5, .. }), "{err:?}");
+    }
+
+    /// Raw bits, so a comparison fails on any bit.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The flops `f` charges on this thread.
+    fn flops_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = pilote_obs::work::thread_flops();
+        let out = f();
+        (out, pilote_obs::work::thread_flops() - before)
+    }
+
+    #[test]
+    fn forward_rows_equals_the_forward_of_the_selected_rows() {
+        let cfg = NetConfig::small();
+        let mut rng = Rng64::new(6);
+        let mut net = EmbeddingNet::new(cfg.clone(), &mut rng);
+        // A training batch first, so the running statistics are not the
+        // defaults.
+        net.forward_train(&Tensor::randn([16, cfg.input_dim], 0.5, 2.0, &mut rng));
+        let features = Tensor::randn([12, cfg.input_dim], 0.0, 1.0, &mut rng);
+        // 48 rows drawn from rows 0, 2, …, 10 of the 12.
+        let listed: Vec<usize> = (0..48).map(|_| 2 * rng.below(6)).collect();
+        let rows = DistinctRows::new(&listed, features.rows()).unwrap();
+        assert!(rows.distinct().len() < listed.len());
+        let selected = features.select_rows(&listed).unwrap();
+        let distinct = features.select_rows(rows.distinct()).unwrap();
+        let dy = Tensor::randn([listed.len(), cfg.embedding_dim], 0.0, 1.0, &mut rng);
+        let probe = Tensor::randn([5, cfg.input_dim], 0.0, 1.0, &mut rng);
+
+        for mode in [Mode::Eval, Mode::Train] {
+            let mut reference = net.clone_frozen();
+            let (want, all_rows) = flops_of(|| reference.forward_mode(&selected, mode));
+            let (got, charged) = flops_of(|| net.forward_rows(&features, &rows, mode).unwrap());
+            assert_eq!(bits(&got), bits(&want), "{mode:?}: output");
+            let want_charge = match mode {
+                // The forward charge of the distinct rows alone.
+                Mode::Eval => flops_of(|| net.clone_frozen().forward_mode(&distinct, mode)).1,
+                Mode::Train => all_rows,
+            };
+            assert_eq!(charged, want_charge, "{mode:?}: flops");
+            assert_eq!(bits(&net.backward(&dy)), bits(&reference.backward(&dy)), "{mode:?}: dX");
+            let got = net.layers_mut().params_and_grads();
+            let want = reference.layers_mut().params_and_grads();
+            for (i, ((p, g), (wp, wg))) in got.iter().zip(&want).enumerate() {
+                assert_eq!(bits(p), bits(wp), "{mode:?}: parameter {i}");
+                assert_eq!(bits(g), bits(wg), "{mode:?}: gradient {i}");
+            }
+            // The running statistics, read through an eval forward.
+            assert_eq!(bits(&net.embed(&probe)), bits(&reference.embed(&probe)), "{mode:?}");
+        }
+        let all_rows = flops_of(|| net.clone_frozen().forward_mode(&selected, Mode::Eval)).1;
+        let distinct_rows = flops_of(|| net.clone_frozen().forward_mode(&distinct, Mode::Eval)).1;
+        assert!(distinct_rows < all_rows);
+
+        let (got, charged) = flops_of(|| net.embed_rows(&features, &rows).unwrap());
+        assert_eq!(bits(&got), bits(&net.embed(&selected)), "embed_rows");
+        assert_eq!(charged, distinct_rows, "embed_rows: flops");
+        let no_cache = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.backward(&dy)));
+        assert!(no_cache.is_err(), "embed_rows must leave no cache for backward");
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod session_metrics;
 pub mod strategies;
 
 pub use config::{NetConfig, PiloteConfig};
-pub use embedding::EmbeddingNet;
+pub use embedding::{DistinctRows, EmbeddingNet};
 pub use exemplar::{select_exemplars, SelectionStrategy};
 pub use metrics::{accuracy, ConfusionMatrix};
 pub use learner::Method;

@@ -7,9 +7,14 @@
 //! that scheme; [`PairScheme::Full`] is the classic all-pairs sampling used
 //! for cloud pre-training and by the re-trained baseline.
 //!
-//! Threading: [`PairSet::gather`] — the per-step hot path that materialises
-//! the two feature batches — is band-parallel through
-//! `Tensor::select_rows`. [`sample_pairs`], [`build_epoch_pairs`] and
+//! The per-step hot path of `train_embedding` does not gather pair
+//! features here: it lists the `a` then `b` rows of a batch and hands them
+//! to `EmbeddingNet::forward_rows`, which selects each distinct row once,
+//! band-parallel through `Tensor::select_rows`. [`PairSet::gather`], which
+//! materialises the two feature batches, serves the EWC arm of
+//! `strategies`.
+//!
+//! Threading: [`sample_pairs`], [`build_epoch_pairs`] and
 //! [`PairSet::shuffle`] are *deliberately serial*: their output is defined
 //! by the order of draws from a single [`Rng64`] stream, and any parallel
 //! partition would change the stream and hence the experiment results (see

@@ -15,7 +15,7 @@
 //!    prototypes (Eq. 1).
 
 use crate::config::PiloteConfig;
-use crate::embedding::EmbeddingNet;
+use crate::embedding::{DistinctRows, EmbeddingNet};
 use crate::exemplar::{select_exemplars, SelectionStrategy};
 use crate::ncm::NcmClassifier;
 use crate::pairs::{build_epoch_pairs, PairScheme, PairSet};
@@ -230,9 +230,10 @@ pub fn train_embedding(
         if distill { Some(data.features.select_rows(&opts.distill_rows)?) } else { None };
     let anchor = distill_features.as_ref().map(|df| net.embed(df));
 
-    // The validation input `[va; vb; D₀]`, embedded in one forward per
-    // epoch: each output row depends on its input row alone, so the rows
-    // and the flops are those of three forwards.
+    // The validation rows `[va; vb; D₀]`, embedded in one forward per
+    // epoch of their distinct rows, found here once: each output row
+    // depends on its input row alone, so the rows are those of three
+    // forwards.
     let val_input = if val_pairs.is_empty() {
         None
     } else {
@@ -240,7 +241,7 @@ pub fn train_embedding(
         if distill {
             rows.extend(&opts.distill_rows);
         }
-        Some(data.features.select_rows(&rows)?)
+        Some(DistinctRows::new(&rows, data.len())?)
     };
 
     let mut optimizer = Adam::new();
@@ -277,14 +278,15 @@ pub fn train_embedding(
             start = end;
 
             // Siamese forward: both branches share weights, so the `a` rows
-            // then the `b` rows are gathered into one batch (also gives
-            // BatchNorm a well-mixed batch), which the layers take over.
+            // then the `b` rows run as one batch (also gives BatchNorm a
+            // well-mixed batch). With frozen statistics each distinct row
+            // runs once.
             let rows: Vec<usize> = batch.a.iter().chain(&batch.b).map(|&i| train_rows[i]).collect();
-            let stacked = data.features.select_rows(&rows)?;
+            let rows = DistinctRows::new(&rows, data.len())?;
 
             net.zero_grad();
 
-            let emb = net.layers_mut().forward_owned(stacked, forward_mode);
+            let emb = net.forward_rows(&data.features, &rows, forward_mode)?;
             let n_pairs = batch.len();
             let ea = emb.slice_rows(0, n_pairs)?;
             let eb = emb.slice_rows(n_pairs, 2 * n_pairs)?;
@@ -339,8 +341,8 @@ pub fn train_embedding(
         // ---- validation loss (eval mode, fixed pairs) -------------------
         let val_loss = match &val_input {
             None => None,
-            Some(input) => {
-                let emb = net.embed(input);
+            Some(rows) => {
+                let emb = net.embed_rows(&data.features, rows)?;
                 let n = val_pairs.len();
                 let (ea, eb) = (emb.slice_rows(0, n)?, emb.slice_rows(n, 2 * n)?);
                 let (c_loss, _, _) = contrastive_pair_loss(

@@ -7,8 +7,9 @@ use pilote_tensor::Tensor;
 /// paper's activation for the first four layers.
 #[derive(Debug, Clone, Default)]
 pub struct ReLU {
-    /// Which inputs of the last forward were positive, one flag per element.
-    mask: Option<Vec<bool>>,
+    /// Which inputs of the last forward were positive, one flag per element
+    /// in row-major order, and the row width, so rows can be re-indexed.
+    mask: Option<(Vec<bool>, usize)>,
 }
 
 impl ReLU {
@@ -38,7 +39,7 @@ impl Layer for ReLU {
                 *v = v.max(0.0);
             }
         });
-        self.mask = Some(mask);
+        self.mask = Some((mask, d));
         input
     }
 
@@ -54,7 +55,7 @@ impl Layer for ReLU {
 
     /// Masks the moved gradient in place.
     fn backward_owned(&mut self, mut grad: Tensor) -> Tensor {
-        let mask = self.mask.as_ref().expect("ReLU::backward called before forward");
+        let (mask, _) = self.mask.as_ref().expect("ReLU::backward called before forward");
         assert_eq!(grad.len(), mask.len(), "ReLU mask shape");
         let d = width(&grad);
         // Masked by multiplying, not by selecting: a masked ±∞ or NaN
@@ -65,6 +66,16 @@ impl Layer for ReLU {
             }
         });
         grad
+    }
+
+    /// Re-indexes the mask, a row of `d` flags at a time.
+    fn gather_cache(&mut self, rows: &[usize]) {
+        let (mask, d) = self.mask.take().expect("ReLU::gather_cache called before forward");
+        let mut gathered = Vec::with_capacity(rows.len() * d);
+        for &i in rows {
+            gathered.extend_from_slice(&mask[i * d..(i + 1) * d]);
+        }
+        self.mask = Some((gathered, d));
     }
 
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {

@@ -226,6 +226,19 @@ impl Layer for BatchNorm1d {
         grad
     }
 
+    /// Re-indexes `x̂`. After a `Mode::Eval` forward, row `i` of `x̂` is
+    /// `(x_i − μ)·s` with the running statistics; after a `Mode::Train`
+    /// one, μ and s are the batch's, which saw every row, so this panics.
+    fn gather_cache(&mut self, rows: &[usize]) {
+        let cache = self.cache.as_mut().expect("BatchNorm1d::gather_cache called before forward");
+        assert!(
+            !cache.train,
+            "BatchNorm1d::gather_cache after a Mode::Train forward: its batch statistics saw every row"
+        );
+        cache.x_hat =
+            cache.x_hat.select_rows(rows).expect("BatchNorm1d::gather_cache: row in range");
+    }
+
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
         vec![
             (&mut self.gamma, &mut self.grad_gamma),

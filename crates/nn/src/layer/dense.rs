@@ -107,6 +107,12 @@ impl Layer for Dense {
         grad_output.matmul_t(&self.weight).expect("dX shape")
     }
 
+    /// Re-indexes the cached input: `x W + b` reads row `i` of `x` alone.
+    fn gather_cache(&mut self, rows: &[usize]) {
+        let x = self.cached_input.as_ref().expect("Dense::gather_cache called before forward");
+        self.cached_input = Some(x.select_rows(rows).expect("Dense::gather_cache: row in range"));
+    }
+
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
         vec![
             (&mut self.weight, &mut self.grad_weight),

@@ -63,6 +63,14 @@ pub enum Mode {
 /// * `infer` returns `forward(x, Mode::Eval)`'s output bit for bit. In
 ///   this crate's layers it leaves no caches behind, so a `backward`
 ///   right after it panics.
+/// * `gather_cache(rows)` after `forward(x, mode)` leaves the caches
+///   `forward(&x.select_rows(rows), mode)` would leave, bit for bit, so the
+///   `backward` after it returns and accumulates what that forward's
+///   `backward` would. It holds where each row of the forward's output
+///   and caches depends on its own input row alone: every mode of `Dense`
+///   and `ReLU`, `Mode::Eval` of `BatchNorm1d`. After a `Mode::Train`
+///   `BatchNorm1d` forward, whose batch statistics saw every row, it
+///   panics.
 /// * `backward` **adds** into the parameter gradients; call [`Layer::zero_grad`]
 ///   before accumulating a fresh optimizer step.
 /// * `params_and_grads` yields `(parameter, gradient)` pairs in a stable
@@ -97,6 +105,15 @@ pub trait Layer: Send {
     /// gradient.
     fn backward_owned(&mut self, grad_output: Tensor) -> Tensor {
         self.backward(&grad_output)
+    }
+
+    /// Re-indexes the caches of the last forward to the rows `rows` of its
+    /// batch, in the order given and with repeats, as if that forward had
+    /// been given only those rows. Panics when the layer cannot, or holds
+    /// no caches. The default panics with the layer's name.
+    fn gather_cache(&mut self, rows: &[usize]) {
+        let _ = rows;
+        panic!("{}: gather_cache is not supported", self.name());
     }
 
     /// Mutable `(parameter, gradient)` pairs in stable order.

@@ -106,6 +106,12 @@ impl Layer for Sequential {
         self.layers.iter_mut().rev().fold(grad_output, |g, layer| layer.backward_owned(g))
     }
 
+    fn gather_cache(&mut self, rows: &[usize]) {
+        for layer in &mut self.layers {
+            layer.gather_cache(rows);
+        }
+    }
+
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
         self.layers
             .iter_mut()

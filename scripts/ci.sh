@@ -46,7 +46,8 @@
 #      PILOTE's final forgetting must stay strictly below re-trained's
 #  15. the index gate: `repro index` over the committed results/ BENCH
 #      files must parse every one, resolve every headline metric, and
-#      reproduce the committed BENCH_index.json byte-for-byte
+#      reproduce the committed BENCH_index.json byte-for-byte (on a
+#      mismatch the JSON paths that moved are printed first, as in 17)
 #  16. the A4 gate (EXPERIMENTS.md): `repro ablate-strategies --quick` run
 #      twice plus once at PILOTE_THREADS=4, ablate_strategies.json
 #      byte-compared; its rows must be exactly pilote, naive-finetune,
@@ -56,6 +57,8 @@
 #      equal the committed results/ files byte for byte — seven files
 #      (BENCH_scenarios.json is committed at default scale and
 #      BENCH_fleet_large.json at 10k devices, so neither is compared);
+#      on a mismatch it prints every JSON path whose value moved, with the
+#      committed and the run's value, then fails on the byte compare;
 #      then one `repro timing` run must equal results/timing.json in
 #      every field but `epoch_seconds_host`, which is host time
 #  18. the example gate: `cargo run --release --example magneto_platform`
@@ -96,6 +99,36 @@ determinism_gate() {
     cmp "$obs_dir/${tag}1/$file" "$obs_dir/${tag}2/$file"
     cmp "$obs_dir/${tag}1/$file" "$obs_dir/${tag}4/$file"
   done
+}
+
+# reproduces RUN COMMITTED: RUN must equal the committed file COMMITTED byte
+# for byte. If it does not, prints each JSON path whose value moved, with
+# both values, before `cmp` fails the gate.
+reproduces() {
+  if ! cmp -s "$1" "$2"; then
+    python3 - "$2" "$1" << 'EOF' >&2
+import json, sys
+
+def moved(want, got, path):
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key in dict.fromkeys([*want, *got]):
+            yield from moved(want.get(key, "<absent>"), got.get(key, "<absent>"), f"{path}.{key}")
+    elif isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
+        for i, (w, g) in enumerate(zip(want, got)):
+            yield from moved(w, g, f"{path}[{i}]")
+    elif want != got or type(want) is not type(got):
+        yield path, want, got
+
+committed, run = (json.load(open(path)) for path in sys.argv[1:3])
+fields = list(moved(committed, run, "$"))
+print(f"{sys.argv[1]} does not reproduce: {len(fields)} JSON value(s) moved")
+for path, want, got in fields[:40]:
+    print(f"  {path}: committed {json.dumps(want)[:80]}, run {json.dumps(got)[:80]}")
+if len(fields) > 40:
+    print(f"  ... and {len(fields) - 40} more")
+EOF
+  fi
+  cmp "$1" "$2"
 }
 
 step "cargo build --workspace --release (Cargo.lock must stay as committed)"
@@ -359,7 +392,7 @@ for f in results/BENCH_*.json; do
   cp "$f" "$idx_dir/"
 done
 repro index --out "$idx_dir"
-cmp "$idx_dir/BENCH_index.json" results/BENCH_index.json
+reproduces "$idx_dir/BENCH_index.json" results/BENCH_index.json
 
 # --- A4 gate (EXPERIMENTS.md) ----------------------------------------------
 
@@ -385,7 +418,7 @@ repro faults --quick --out "$obs_dir/x1"
 for out in t1/BENCH_obs.json f1/BENCH_fleet.json q1/BENCH_quality.json \
            q1/trace_quality.json p1/BENCH_policy.json w1/BENCH_wire.json \
            x1/BENCH_faults.json; do
-  cmp "$obs_dir/$out" "results/$(basename "$out")"
+  reproduces "$obs_dir/$out" "results/$(basename "$out")"
 done
 
 step "repro timing: results/timing.json reproduces but for its host-time epoch"

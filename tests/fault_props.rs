@@ -24,10 +24,15 @@ use pilote::magneto::Deployment;
 use pilote::prelude::*;
 use pilote::tensor::parallel::{self, ThreadConfig};
 use proptest::prelude::*;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// The global [`ThreadConfig`] is process-wide; thread-variance tests
 /// serialise on this, same as `tests/parallel_props.rs`.
+///
+/// Guards no data: each test that compares thread counts sets every count
+/// it runs at after taking it, so a test that failed while holding it
+/// leaves nothing for the next one to distrust, and the next one takes it
+/// over instead of failing on the poison.
 static CONFIG_LOCK: Mutex<()> = Mutex::new(());
 
 /// One pre-trained deployment shared by every expensive property case
@@ -248,7 +253,7 @@ proptest! {
 /// thread count.
 #[test]
 fn faulted_pipeline_is_thread_invariant() {
-    let _guard = CONFIG_LOCK.lock().unwrap();
+    let _guard = CONFIG_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let saved = parallel::current();
     let run_once = |seed: u64| -> Vec<(usize, u32)> {
         let mut dev = device();

@@ -20,8 +20,12 @@ use pilote::tensor::matmul::matmul_unpacked_reference;
 use pilote::tensor::parallel::{self, ThreadConfig};
 use pilote::tensor::{Rng64, Tensor};
 use proptest::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
+/// Guards no data: each test that compares thread counts sets every count
+/// it runs at after taking it, so a test that failed while holding it
+/// leaves nothing for the next one to distrust, and the next one takes it
+/// over instead of failing on the poison.
 static CONFIG_LOCK: Mutex<()> = Mutex::new(());
 
 /// f64-accumulated naive product: the ground truth the f32 kernels are
@@ -94,7 +98,7 @@ fn assert_row_bits_do_not_depend_on_batch_height(seed: u64, n: usize) {
     const M: usize = 17;
     let mut rng = Rng64::new(seed);
     let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let _guard = CONFIG_LOCK.lock().unwrap();
+    let _guard = CONFIG_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let saved = parallel::current();
     for k in ROW_DEPTHS {
         let x = Tensor::randn([M, k], 0.0, 1.0, &mut rng);
@@ -195,7 +199,7 @@ proptest! {
         let mut rng = Rng64::new(seed);
         let a = Tensor::randn([m, k], 0.0, 1.0, &mut rng);
         let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
-        let _guard = CONFIG_LOCK.lock().unwrap();
+        let _guard = CONFIG_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let saved = parallel::current();
         parallel::configure(ThreadConfig::serial());
         let packed = a.matmul(&b).unwrap();
@@ -253,7 +257,7 @@ proptest! {
         let mut rng = Rng64::new(seed);
         let x = Tensor::randn([m, d], 0.0, 1.0, &mut rng);
         let y = Tensor::randn([n, d], 0.0, 1.0, &mut rng);
-        let _guard = CONFIG_LOCK.lock().unwrap();
+        let _guard = CONFIG_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let saved = parallel::current();
         parallel::configure(ThreadConfig::serial());
         let reference = x.pairwise_sq_dists_unfused(&y).unwrap();
@@ -298,7 +302,7 @@ proptest! {
         let mut rng = Rng64::new(seed);
         let a = Tensor::randn([m, k], 0.0, 1.0, &mut rng);
         let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
-        let _guard = CONFIG_LOCK.lock().unwrap();
+        let _guard = CONFIG_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let saved = parallel::current();
         parallel::configure(ThreadConfig::serial());
         let serial = a.matmul(&b).unwrap();

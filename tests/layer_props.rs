@@ -27,6 +27,15 @@
 //! layer (`forward_owned`, `backward_owned`) must equal the same layers
 //! driven one by one through the borrowed `forward` and `backward`, in
 //! both modes: output, dX and every gradient, over two backwards.
+//!
+//! A forward of a batch's distinct rows, re-indexed to the batch's rows
+//! (`Layer::gather_cache`), must equal a forward of the rows themselves,
+//! repeats included: output, and then dX and every parameter and gradient
+//! of a backward. `Dense` and `ReLU` are checked in both modes,
+//! `BatchNorm1d` in `Mode::Eval`, and the paper network's `Sequential` as
+//! an edge update runs it, in `Mode::Eval`; a re-index after a
+//! `Mode::Train` `BatchNorm1d` forward must panic. Batch heights repeat
+//! heavily: 256 rows from 7 distinct, 9 from 9 (reordered), 1 from 1.
 
 use pilote::core::{EmbeddingNet, NetConfig};
 use pilote::nn::{BatchNorm1d, Dense, Layer, Mode, ReLU, Sequential};
@@ -392,6 +401,95 @@ fn sequential_and_embed_infer_equal_the_eval_forward_and_keep_no_cache() {
             assert_bits(&model.embed(&features), &eval, &format!("EmbeddingNet m={m}: embed"));
             let grad = Tensor::ones([m, config.embedding_dim]);
             assert_backward_panics(model.layers_mut(), &grad, &format!("EmbeddingNet m={m}"));
+        }
+    }
+    parallel::configure(saved);
+}
+
+/// Batch heights and how many distinct rows each is drawn from.
+const GATHERS: [(usize, usize); 3] = [(256, 7), (9, 9), (1, 1)];
+
+/// `n` rows of a `k`-row batch in a seeded order, each of the `k` at least
+/// once (`n ≥ k`).
+fn repeated_rows(n: usize, k: usize, seed: u64) -> Vec<usize> {
+    let mut rng = Rng64::new(seed);
+    let mut rows: Vec<usize> = (0..n).map(|i| if i < k { i } else { rng.below(k) }).collect();
+    rng.shuffle(&mut rows);
+    rows
+}
+
+/// `layer` forwards the distinct rows `x` in `mode`, re-indexes its caches
+/// to `rows` and backpropagates `dy`; a copy of it forwards
+/// `x.select_rows(rows)` and backpropagates `dy`. Outputs, dX and every
+/// parameter and gradient must agree bit for bit.
+fn assert_re_indexed_equals_repeated(
+    layer: &mut dyn Layer,
+    x: &Tensor,
+    rows: &[usize],
+    dy: &Tensor,
+    mode: Mode,
+    case: &str,
+) {
+    let mut reference = layer.clone_box();
+    let want = reference.forward(&x.select_rows(rows).unwrap(), mode);
+    let y = layer.forward(x, mode);
+    layer.gather_cache(rows);
+    assert_bits(&y.select_rows(rows).unwrap(), &want, &format!("{case}: output"));
+    assert_bits(&layer.backward(dy), &reference.backward(dy), &format!("{case}: dX"));
+    let got = params(layer);
+    let want = params(reference.as_mut());
+    assert_eq!(got.len(), want.len(), "{case}: parameter count");
+    for (i, ((p, g), (wp, wg))) in got.iter().zip(&want).enumerate() {
+        assert_bits(p, wp, &format!("{case}: parameter {i}"));
+        assert_bits(g, wg, &format!("{case}: gradient {i}"));
+    }
+}
+
+#[test]
+fn a_re_indexed_forward_equals_the_forward_of_the_repeated_rows() {
+    let _guard = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let saved = parallel::current();
+    let config = NetConfig::paper();
+    for threads in [1, 4] {
+        parallel::configure(ThreadConfig { num_threads: threads, min_parallel_len: 0 });
+        for (n, k) in GATHERS {
+            let rows = repeated_rows(n, k, (n * 7 + k) as u64);
+            for d in WIDTHS {
+                let seed = (n * 1000 + k * 10 + d) as u64;
+                let at = format!("n={n} from k={k} d={d} at {threads} threads");
+                let (x, _, _) = operands(k, DENSE_IN, seed);
+                let (_, dy, _) = operands(n, d, seed);
+                let mut rng = Rng64::new(seed);
+                let mut dense = Dense::new(DENSE_IN, d, &mut rng);
+                dense.params_and_grads()[1].0.as_mut_slice()[0] = nan(0x55);
+                let (xd, _, _) = operands(k, d, seed ^ 3);
+                for mode in [Mode::Eval, Mode::Train] {
+                    let case = format!("Dense {mode:?} {at}");
+                    assert_re_indexed_equals_repeated(&mut dense, &x, &rows, &dy, mode, &case);
+                    let case = format!("ReLU {mode:?} {at}");
+                    let relu = &mut ReLU::new();
+                    assert_re_indexed_equals_repeated(relu, &xd, &rows, &dy, mode, &case);
+                }
+                let mut bn = BatchNorm1d::new(d);
+                set_affine(&mut bn, seed);
+                bn.forward(&Tensor::randn([16, d], 1.0, 3.0, &mut rng), Mode::Train);
+                let case = format!("BatchNorm1d Eval {at}");
+                assert_re_indexed_equals_repeated(&mut bn, &xd, &rows, &dy, Mode::Eval, &case);
+                bn.forward(&xd, Mode::Train);
+                let what = format!("BatchNorm1d gather_cache after a Train forward, {at}");
+                assert_panics(|| bn.gather_cache(&rows), "Mode::Train", &what);
+            }
+            // The paper network as an edge update runs it: statistics moved
+            // by a training batch, then frozen.
+            let seed = (n * 100 + k) as u64;
+            let mut rng = Rng64::new(seed);
+            let mut model = EmbeddingNet::new(config.clone(), &mut rng);
+            model.forward_train(&Tensor::randn([16, config.input_dim], 0.0, 2.0, &mut rng));
+            let (x, _, _) = operands(k, config.input_dim, seed);
+            let (_, dy, _) = operands(n, config.embedding_dim, seed);
+            let case = format!("paper Sequential Eval n={n} from k={k} at {threads} threads");
+            let net = model.layers_mut();
+            assert_re_indexed_equals_repeated(net, &x, &rows, &dy, Mode::Eval, &case);
         }
     }
     parallel::configure(saved);

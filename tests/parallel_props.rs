@@ -10,14 +10,18 @@
 use pilote::tensor::parallel::{self, ThreadConfig};
 use pilote::tensor::{Rng64, Tensor};
 use proptest::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
+/// Guards no data: each test that compares thread counts sets every count
+/// it runs at after taking it, so a test that failed while holding it
+/// leaves nothing for the next one to distrust, and the next one takes it
+/// over instead of failing on the poison.
 static CONFIG_LOCK: Mutex<()> = Mutex::new(());
 
 /// Runs `f` once per thread count in `{2, 3, 4, 7}` with the size
 /// threshold disabled, comparing against the serial result computed first.
 fn assert_thread_invariant(f: impl Fn() -> Tensor) {
-    let _guard = CONFIG_LOCK.lock().unwrap();
+    let _guard = CONFIG_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let saved = parallel::current();
     parallel::configure(ThreadConfig::serial());
     let serial = f();
@@ -40,7 +44,7 @@ fn assert_thread_invariant(f: impl Fn() -> Tensor) {
 #[test]
 fn axpy_nan_payloads_do_not_depend_on_the_band_layout() {
     let nan = |payload: u32| f32::from_bits(0x7fc0_0000 | payload);
-    let _guard = CONFIG_LOCK.lock().unwrap();
+    let _guard = CONFIG_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let saved = parallel::current();
     for n in [9usize, 37, 64] {
         let bits = |threads: usize| {
@@ -96,7 +100,7 @@ proptest! {
         // future parallelisation cannot silently change results.
         let mut rng = Rng64::new(seed);
         let x = Tensor::randn([rows, cols], 0.0, 10.0, &mut rng);
-        let _guard = CONFIG_LOCK.lock().unwrap();
+        let _guard = CONFIG_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let saved = parallel::current();
         parallel::configure(ThreadConfig::serial());
         let serial = x.sum();

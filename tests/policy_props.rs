@@ -25,8 +25,12 @@ use pilote::magneto::{
 use pilote::nn::{Checkpoint, Layer};
 use pilote::prelude::*;
 use pilote::tensor::parallel::{self, ThreadConfig};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
+/// Guards no data: each test that compares thread counts sets every count
+/// it runs at after taking it, so a test that failed while holding it
+/// leaves nothing for the next one to distrust, and the next one takes it
+/// over instead of failing on the poison.
 static CONFIG_LOCK: Mutex<()> = Mutex::new(());
 
 const DEVICES: usize = 5;
@@ -139,7 +143,7 @@ fn run_schedule(seed: u64) -> String {
 /// and virtual clocks included.
 #[test]
 fn closed_loop_schedule_is_byte_identical_across_runs_and_threads() {
-    let _guard = CONFIG_LOCK.lock().expect("config lock");
+    let _guard = CONFIG_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let prev = parallel::current();
     parallel::configure(ThreadConfig::serial());
     let serial_a = run_schedule(11);

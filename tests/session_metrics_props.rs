@@ -23,8 +23,12 @@ use pilote::magneto::Deployment;
 use pilote::prelude::*;
 use pilote::tensor::parallel::{self, ThreadConfig};
 use proptest::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
+/// Guards no data: each test that compares thread counts sets every count
+/// it runs at after taking it, so a test that failed while holding it
+/// leaves nothing for the next one to distrust, and the next one takes it
+/// over instead of failing on the poison.
 static CONFIG_LOCK: Mutex<()> = Mutex::new(());
 
 /// Decodes a generated cell: values above 1.0 become the `-1.0`
@@ -259,7 +263,7 @@ fn run_schedule(deployment: &Deployment, probe: &Dataset, new: &Dataset) -> Edge
 /// own probe predictions, and the known flags follow the schedule.
 #[test]
 fn device_matrix_diagonal_matches_recomputed_probe_accuracy() {
-    let _guard = CONFIG_LOCK.lock().expect("config lock");
+    let _guard = CONFIG_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (deployment, probe, new) = scenario_fixture();
     let mut device = run_schedule(&deployment, &probe, &new);
 
@@ -297,7 +301,7 @@ fn device_matrix_diagonal_matches_recomputed_probe_accuracy() {
 /// byte-identical at 1 and 4 threads.
 #[test]
 fn session_matrices_are_thread_invariant() {
-    let _guard = CONFIG_LOCK.lock().expect("config lock");
+    let _guard = CONFIG_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (deployment, probe, new) = scenario_fixture();
     let saved = parallel::current();
 

@@ -4,12 +4,19 @@
 //!
 //! The step is the one an edge update runs, at its shapes: an eval-mode
 //! forward and backward of 256 stacked pair rows, then of 120
-//! distillation rows, then `grads_finite` and `Adam::step`. A warm-up step
-//! first allocates what a step keeps for good: Adam's moments and this
-//! thread's GEMM packing buffer. After it, no allocation may reach the
-//! 2 MiB of the 1024 × 512 weight. Two did per layer when each GEMM
-//! packed B into a fresh buffer and `Dense::backward` built `dW` in a
-//! temporary before adding it to the gradient.
+//! distillation rows, then `grads_finite` and `Adam::step`. The pair rows
+//! are drawn with repeats, as an update draws them (8 new windows as
+//! anchors, 16 pairs each, against a 120-row support set), and run
+//! through `EmbeddingNet::forward_rows`: the network forwards their
+//! distinct rows, then every layer re-indexes its caches to all 256. A
+//! warm-up step first allocates what a step keeps for good: Adam's
+//! moments and this thread's GEMM packing buffer. After it, no allocation
+//! may reach the 2 MiB of the 1024 × 512 weight. Two did per layer when
+//! each GEMM packed B into a fresh buffer and `Dense::backward` built `dW`
+//! in a temporary before adding it to the gradient. The re-indexed caches
+//! are activation-sized (1 MiB for the 256 × 1024 input of the second
+//! layer, the largest), so the bound holds for them as it did for the
+//! all-rows forward they replace.
 //!
 //! A product of one row block allocates nothing but its output
 //! (`docs/KERNELS.md`, "The single-row-block path"): an `MR`-row product
@@ -23,7 +30,7 @@
 //! It counts every thread's allocations, so the tests of this binary take
 //! turns through [`SERIAL`].
 
-use pilote::core::{EmbeddingNet, NetConfig};
+use pilote::core::{DistinctRows, EmbeddingNet, NetConfig};
 use pilote::nn::{grads_finite, Adam, Mode, Optimizer};
 use pilote::tensor::pack::{active_simd, Simd};
 use pilote::tensor::parallel::{self, ThreadConfig};
@@ -95,19 +102,33 @@ fn largest_allocation_during(f: impl FnOnce()) -> usize {
     LARGEST.load(Ordering::Relaxed)
 }
 
-/// Pair rows of one step: a pair batch of 128, both members stacked.
-const PAIR_ROWS: usize = 256;
-/// Distillation rows of one step.
+/// Pairs of one step's pair batch; both members are stacked.
+const PAIRS: usize = 128;
+/// Distillation rows of one step: the support set.
 const DISTILL_ROWS: usize = 120;
+/// New windows of an update, each the anchor of `PAIRS / ANCHORS` pairs.
+const ANCHORS: usize = 8;
 
-/// One update step: the pair branch and the distillation branch, each an
-/// eval-mode forward and a backward, then the finiteness guard and Adam.
-fn step(net: &mut EmbeddingNet, adam: &mut Adam, batches: &[(Tensor, Tensor)]) {
+/// The tensors of one step: the update's windows (support set, then new
+/// windows), its stacked pair rows with their gradient, and the
+/// distillation batch with its gradient.
+struct Step {
+    windows: Tensor,
+    pair_rows: DistinctRows,
+    pair_grad: Tensor,
+    distill: Tensor,
+    distill_grad: Tensor,
+}
+
+/// One update step: the pair branch through `forward_rows` and the
+/// distillation branch through `forward_mode`, each in eval mode and
+/// followed by a backward, then the finiteness guard and Adam.
+fn step(net: &mut EmbeddingNet, adam: &mut Adam, s: &Step) {
     net.zero_grad();
-    for (x, grad) in batches {
-        net.forward_mode(x, Mode::Eval);
-        net.backward(grad);
-    }
+    net.forward_rows(&s.windows, &s.pair_rows, Mode::Eval).unwrap();
+    net.backward(&s.pair_grad);
+    net.forward_mode(&s.distill, Mode::Eval);
+    net.backward(&s.distill_grad);
     assert!(grads_finite(net.layers_mut()));
     adam.step(net.layers_mut(), 1e-3);
 }
@@ -119,18 +140,25 @@ fn a_paper_net_step_allocates_nothing_the_size_of_a_weight() {
     let config = NetConfig::paper();
     let mut rng = Rng64::new(26);
     let mut net = EmbeddingNet::new(config.clone(), &mut rng);
-    let batches: Vec<(Tensor, Tensor)> = [PAIR_ROWS, DISTILL_ROWS]
-        .iter()
-        .map(|&rows| {
-            let x = Tensor::randn([rows, config.input_dim], 0.0, 1.0, &mut rng);
-            let grad = Tensor::randn([rows, config.embedding_dim], 0.0, 0.01, &mut rng);
-            (x, grad)
-        })
-        .collect();
+    let windows = Tensor::randn([DISTILL_ROWS + ANCHORS, config.input_dim], 0.0, 1.0, &mut rng);
+    // `a`: each new window anchors `PAIRS / ANCHORS` pairs; `b`: a partner
+    // drawn from every window. Then `a` and `b` stacked.
+    let a = (0..PAIRS).map(|i| DISTILL_ROWS + i * ANCHORS / PAIRS);
+    let b: Vec<usize> = (0..PAIRS).map(|_| rng.below(DISTILL_ROWS + ANCHORS)).collect();
+    let rows: Vec<usize> = a.chain(b).collect();
+    let pair_rows = DistinctRows::new(&rows, windows.rows()).unwrap();
+    assert!(pair_rows.distinct().len() < rows.len());
+    let s = Step {
+        pair_grad: Tensor::randn([2 * PAIRS, config.embedding_dim], 0.0, 0.01, &mut rng),
+        distill: windows.slice_rows(0, DISTILL_ROWS).unwrap(),
+        distill_grad: Tensor::randn([DISTILL_ROWS, config.embedding_dim], 0.0, 0.01, &mut rng),
+        windows,
+        pair_rows,
+    };
     let mut adam = Adam::new();
-    step(&mut net, &mut adam, &batches);
+    step(&mut net, &mut adam, &s);
 
-    let largest = largest_allocation_during(|| step(&mut net, &mut adam, &batches));
+    let largest = largest_allocation_during(|| step(&mut net, &mut adam, &s));
 
     let weight_bytes = config.hidden[0] * config.hidden[1] * std::mem::size_of::<f32>();
     assert!(
